@@ -17,18 +17,14 @@ producer-consumer pair."  This module models that region:
 * deadlock (no process progresses, none done) raises with a full state
   dump instead of hanging.
 
-Runs additionally use a **cycle-skipping fast path**: after a cycle in
-which no process progressed, the region asks every live process and
-channel for a :meth:`~repro.core.process.Process.next_event` hint and,
-when all agree the window is dead, jumps straight to the earliest
-event while bulk-crediting the identical cycle accounting
-(``docs/simulator_fastpath.md``).  Instrumented runs (tracer or
-explicit attribution) skip too: a dead window provably repeats the
-stall classification of the cycle before it, so the whole window is
-emitted as one bulk :meth:`~repro.obs.stall.StallAttribution.skip_window`
-span and the resulting trace/report is identical to the reference
-loop's (the instrumented skip stops one cycle short of the event
-horizon so the boundary cycle is classified by a real tick).
+Untraced runs go through the event-driven
+:class:`~repro.core.scheduler.CycleKernel`, which parks blocked
+processes instead of ticking them.  Instrumented runs (tracer or
+explicit attribution) skip windows in which every process waits,
+emitting each as one bulk
+:meth:`~repro.obs.stall.StallAttribution.skip_window` span with a
+trace/report identical to the reference loop's
+(``docs/simulator_fastpath.md``).
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.core.process import Process
+from repro.core.scheduler import CycleKernel, DeadlockError
 from repro.core.stream import Stream
 from repro.obs import get_tracer
 from repro.obs import stall as _stall
@@ -48,10 +45,6 @@ __all__ = ["DataflowRegion", "DataflowError", "DeadlockError", "RegionReport"]
 
 class DataflowError(ValueError):
     """Invalid region wiring (violates the single producer-consumer rule)."""
-
-
-class DeadlockError(RuntimeError):
-    """The region stopped making progress before all processes finished."""
 
 
 #: Deprecated alias key for the first memory channel's stats (see
@@ -121,16 +114,8 @@ class _ProcessStatsMap(dict):
         return _ProcessStatsMap(self)
 
 
-@dataclass
-class RegionReport:
-    """Result of a region run."""
-
-    cycles: int
-    process_stats: dict[str, "object"] = field(default_factory=dict)
-    stream_stats: dict[str, dict] = field(default_factory=dict)
-    #: per-cycle stall attribution; only populated on instrumented runs
-    #: (a tracer was active or an attribution was passed to ``run``)
-    stall_report: StallReport | None = None
+class _Runtime:
+    """Wall-time views of a report's ``cycles``."""
 
     def runtime_seconds(self, frequency_hz: float) -> float:
         """Convert the cycle count to wall time at a clock frequency."""
@@ -142,6 +127,41 @@ class RegionReport:
         return 1e3 * self.runtime_seconds(frequency_hz)
 
 
+def stream_fields(s: Stream) -> dict:
+    """One stream's ``stream_stats`` entry (regions and pipelines)."""
+    return {
+        "depth": s.depth,
+        "high_water": s.high_water,
+        "total_writes": s.total_writes,
+        "total_reads": s.total_reads,
+        "write_stalls": s.write_stalls,
+        "read_stalls": s.read_stalls,
+    }
+
+
+def stuck_lines(processes, indent: str) -> list[str]:
+    """Deadlock-message lines for the unfinished ``processes``."""
+    lines = []
+    for p in processes:
+        if not p.done():
+            lines.append(f"{indent}stuck: {p!r}")
+            lines += [f"{indent}  in  {s!r}" for s in p.inputs()]
+            lines += [f"{indent}  out {s!r}" for s in p.outputs()]
+    return lines
+
+
+@dataclass
+class RegionReport(_Runtime):
+    """Result of a region run."""
+
+    cycles: int
+    process_stats: dict[str, "object"] = field(default_factory=dict)
+    stream_stats: dict[str, dict] = field(default_factory=dict)
+    #: per-cycle stall attribution; only populated on instrumented runs
+    #: (a tracer was active or an attribution was passed to ``run``)
+    stall_report: StallReport | None = None
+
+
 class DataflowRegion:
     """A set of processes wired by streams, executed cycle by cycle."""
 
@@ -150,13 +170,10 @@ class DataflowRegion:
         self._processes: list[Process] = []
         self._memory_channels: list = []
         self._validated = False
-        #: cycles the last run jumped over instead of ticking
+        #: cycles of the last run in which no process ticked
         self.skipped_cycles = 0
-
-    @property
-    def _memory_channel(self):
-        """Back-compat single-channel view (None if absent)."""
-        return self._memory_channels[0] if self._memory_channels else None
+        #: ``tick`` calls the last run issued, over all processes
+        self.ticks_issued = 0
 
     # -- construction ------------------------------------------------------------
 
@@ -245,12 +262,13 @@ class DataflowRegion:
             (``trace_region`` passes one with lane capture); forces the
             instrumented path regardless of the tracer.
         fast_path:
-            Enable the cycle-skipping fast path (default: on).
+            Park blocked processes and skip dead cycles (default: on).
             ``False`` forces the reference one-cycle-at-a-time loop —
             the differential-equivalence suite runs both and asserts
-            identical reports.  Instrumented runs skip as well,
-            emitting each dead window as one bulk attribution span
-            with a trace/report identical to the reference loop's.
+            identical reports.  Instrumented runs skip whole-region
+            dead windows as well, emitting each as one bulk
+            attribution span with a trace/report identical to the
+            reference loop's.
 
         Raises
         ------
@@ -268,58 +286,27 @@ class DataflowRegion:
             if tracer.enabled:
                 attribution = StallAttribution(self.name, tracer=tracer)
         self.skipped_cycles = 0
+        self.ticks_issued = 0
         fast = True if fast_path is None else fast_path
         if attribution is not None:
             return self._run_instrumented(
                 ordered, max_cycles, attribution, fast=fast
             )
-        cycle = 0
-        live = [p for p in ordered if not p.done()]
-        while live:
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"region {self.name!r} exceeded {max_cycles} cycles"
-                )
-            proc_progress = False
-            for proc in live:
-                if proc.tick(cycle):
-                    proc_progress = True
-            progressed = proc_progress
-            for channel in self._memory_channels:
-                if channel.tick(cycle):
-                    progressed = True
-            if not progressed:
-                raise DeadlockError(self._deadlock_message(cycle))
-            cycle += 1
-            live = [p for p in live if not p.done()]  # done() is monotone
-            # probe for a dead window only after a cycle in which every
-            # process stalled (channel-only progress) — active phases pay
-            # one boolean per cycle, nothing more
-            if fast and live and not proc_progress:
-                span = self._skip_window(live, cycle)
-                if span > max_cycles - cycle:
-                    span = max_cycles - cycle  # stop exactly at the guard
-                if span >= 2:
-                    for proc in live:
-                        proc.skip_cycles(cycle, span)
-                    for channel in self._memory_channels:
-                        channel.skip_cycles(cycle, span)
-                    self.skipped_cycles += span
-                    cycle += span
-        return self._report(cycle)
+        kernel = CycleKernel(ordered, self._memory_channels, park=fast)
+        try:
+            cycles = kernel.run(
+                max_cycles, f"region {self.name!r}", self._deadlock_message
+            )
+        finally:
+            self.skipped_cycles = kernel.skipped_cycles
+            self.ticks_issued = kernel.ticks_issued
+        return self._report(cycles)
 
     def _skip_window(self, live: list[Process], cycle: int) -> int:
-        """Length of the provably dead window starting at ``cycle``.
-
-        Asks every live process and channel for its
-        :meth:`~repro.core.process.Process.next_event` hint.  Any
-        ``None`` (no guarantee) disables skipping; an all-``inf`` answer
-        means nothing self-times, so the next reference tick must decide
-        (it is the one that can raise :class:`DeadlockError`).  A finite
-        horizon is safe to jump to because within the window every
-        process repeats its current stall/bubble accounting and at most
-        the first channel completion lands — exactly at ``horizon - 1``,
-        observed at ``horizon``.
+        """Length of the window from ``cycle`` in which every live
+        process and channel provably repeats itself (0: none), from
+        their :meth:`~repro.core.process.Process.next_event` hints; an
+        all-``inf`` answer leaves the next tick to detect a deadlock.
         """
         horizon: float = float("inf")
         for proc in live:
@@ -385,6 +372,7 @@ class DataflowRegion:
                 raise RuntimeError(
                     f"region {self.name!r} exceeded {max_cycles} cycles"
                 )
+            self.ticks_issued += len(live)
             proc_progress = False
             states: dict[str, str] = {}
             pre: dict[str, tuple] = {}
@@ -470,29 +458,17 @@ class DataflowRegion:
 
     def _deadlock_message(self, cycle: int) -> str:
         lines = [f"deadlock in region {self.name!r} at cycle {cycle}:"]
-        for p in self._processes:
-            if not p.done():
-                lines.append(f"  stuck: {p!r}")
-                for s in p.inputs():
-                    lines.append(f"    in  {s!r}")
-                for s in p.outputs():
-                    lines.append(f"    out {s!r}")
+        lines += stuck_lines(self._processes, "  ")
         for channel in self._memory_channels:
             lines.append(f"  channel: {channel!r}")
         return "\n".join(lines)
 
     def _report(self, cycles: int) -> RegionReport:
-        streams: dict[str, dict] = {}
-        for p in self._processes:
-            for s in (*p.inputs(), *p.outputs()):
-                streams[s.name] = {
-                    "depth": s.depth,
-                    "high_water": s.high_water,
-                    "total_writes": s.total_writes,
-                    "total_reads": s.total_reads,
-                    "write_stalls": s.write_stalls,
-                    "read_stalls": s.read_stalls,
-                }
+        streams = {
+            s.name: stream_fields(s)
+            for p in self._processes
+            for s in (*p.inputs(), *p.outputs())
+        }
         stats = _ProcessStatsMap((p.name, p.stats) for p in self._processes)
         for i, channel in enumerate(self._memory_channels):
             stats[f"__memory_channel_{i}__"] = channel.stats

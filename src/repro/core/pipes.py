@@ -16,10 +16,9 @@ pipes with cross-kernel overlap.  This module generalizes
   region DAG;
 * a :class:`MultiRegionRunner` co-schedules every region on one shared
   cycle loop — producer regions and consumer regions overlap exactly
-  like the processes inside one region do — with the cycle-skipping
-  fast path composed across regions: a window is skipped only when
-  *every* live process in *every* region and every memory channel
-  agrees it is dead.
+  like the processes inside one region do — on the same event-driven
+  :class:`~repro.core.scheduler.CycleKernel` as a single region, so a
+  process blocked on a pipe parks until the other region acts.
 
 Memory channels are first-class at the pipeline level: each region
 attaches the channel(s) its engines use (per-region channel affinity),
@@ -44,11 +43,14 @@ import networkx as nx
 from repro.core.dataflow import (
     DataflowError,
     DataflowRegion,
-    DeadlockError,
     RegionReport,
     _ProcessStatsMap,
+    _Runtime,
+    stream_fields,
+    stuck_lines,
 )
 from repro.core.process import Process
+from repro.core.scheduler import CycleKernel
 from repro.core.stream import Stream
 
 __all__ = [
@@ -76,7 +78,7 @@ class Pipe(Stream):
 
 
 @dataclass
-class PipelineReport:
+class PipelineReport(_Runtime):
     """Combined result of a multi-region pipeline run."""
 
     #: total cycles of the run (pipelined: shared clock; sequential:
@@ -109,14 +111,6 @@ class PipelineReport:
             merged.update(report.stream_stats)
         merged.update(self.pipe_stats)
         return merged
-
-    def runtime_seconds(self, frequency_hz: float) -> float:
-        if frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
-        return self.cycles / frequency_hz
-
-    def runtime_ms(self, frequency_hz: float) -> float:
-        return 1e3 * self.runtime_seconds(frequency_hz)
 
 
 class PipelineGraph:
@@ -269,15 +263,18 @@ class MultiRegionRunner:
     every live process across every region ticks once per cycle in
     region-topological then intra-region-topological order (so a token
     written into a pipe at cycle *t* is visible to the consumer region
-    at cycle *t*), all channels tick after the processes, deadlock is
-    detected across the whole graph, and the cycle-skipping fast path
-    probes *all* regions' hints at once.
+    at cycle *t*), all channels tick after the processes, and deadlock
+    is detected across the whole graph.  Both run on one
+    :class:`~repro.core.scheduler.CycleKernel`, whose stream peers span
+    regions through the pipes.
     """
 
     def __init__(self, graph: PipelineGraph):
         self.graph = graph
-        #: cycles the last run jumped over instead of ticking
+        #: cycles of the last run in which no process ticked
         self.skipped_cycles = 0
+        #: ``tick`` calls the last run issued, over all regions
+        self.ticks_issued = 0
 
     # -- execution -----------------------------------------------------------------
 
@@ -290,69 +287,32 @@ class MultiRegionRunner:
         """Run all regions concurrently until every process finishes.
 
         Same contract as :meth:`DataflowRegion.run`: raises
-        :class:`DeadlockError` when a full cycle passes with zero
-        progress anywhere in the pipeline, ``RuntimeError`` when
-        ``max_cycles`` elapse, and ``fast_path=False`` forces the
-        reference one-cycle-at-a-time loop (the differential suite
-        asserts field-for-field identical :class:`PipelineReport`\\ s).
+        :class:`~repro.core.scheduler.DeadlockError` when a full cycle
+        passes with zero progress anywhere in the pipeline,
+        ``RuntimeError`` when ``max_cycles`` elapse, and
+        ``fast_path=False`` forces the reference one-cycle-at-a-time
+        loop (the differential suite asserts field-for-field identical
+        :class:`PipelineReport`\\ s).
         """
         regions, ordered, channels, _pipes = self.graph._validate()
-        self.skipped_cycles = 0
-        fast = True if fast_path is None else fast_path
-        cycle = 0
-        live = [p for p in ordered if not p.done()]
-        region_live = {
-            r.name: sum(1 for p in r.processes if not p.done())
-            for r in regions
-        }
-        region_done: dict[str, int] = {
-            r.name: 0 for r in regions if region_live[r.name] == 0
-        }
-        while live:
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"pipeline {self.graph.name!r} exceeded "
-                    f"{max_cycles} cycles"
-                )
-            proc_progress = False
-            for proc in live:
-                if proc.tick(cycle):
-                    proc_progress = True
-            progressed = proc_progress
-            for channel in channels:
-                if channel.tick(cycle):
-                    progressed = True
-            if not progressed:
-                raise DeadlockError(self._deadlock_message(cycle, channels))
-            cycle += 1
-            still = [p for p in live if not p.done()]
-            if len(still) != len(live):
-                finished = {id(p) for p in live} - {id(p) for p in still}
-                for region in regions:
-                    if region.name in region_done:
-                        continue
-                    done_here = sum(
-                        1 for p in region.processes if id(p) in finished
-                    )
-                    if done_here:
-                        region_live[region.name] -= done_here
-                        if region_live[region.name] == 0:
-                            region_done[region.name] = cycle
-            live = still
-            # probe for a dead window only after a cycle in which every
-            # process in every region stalled (channel-only progress)
-            if fast and live and not proc_progress:
-                span = self._skip_window(live, cycle, channels)
-                if span > max_cycles - cycle:
-                    span = max_cycles - cycle  # stop exactly at the guard
-                if span >= 2:
-                    for proc in live:
-                        proc.skip_cycles(cycle, span)
-                    for channel in channels:
-                        channel.skip_cycles(cycle, span)
-                    self.skipped_cycles += span
-                    cycle += span
-        return self._report(cycle, region_done, mode="pipelined")
+        kernel = CycleKernel(ordered, channels, park=fast_path is not False)
+        try:
+            cycles = kernel.run(
+                max_cycles,
+                f"pipeline {self.graph.name!r}",
+                lambda cycle: self._deadlock_message(cycle, channels),
+            )
+        finally:
+            self.skipped_cycles = kernel.skipped_cycles
+            self.ticks_issued = kernel.ticks_issued
+        # a region is done with its last process (0 if it started done);
+        # listed in finishing order, ties in topo order
+        done = sorted(
+            (max(kernel.finished.get(p, 0) for p in r.processes), i, r.name)
+            for i, r in enumerate(regions)
+        )
+        region_done = {name: cycle for cycle, _, name in done}
+        return self._report(cycles, region_done, mode="pipelined")
 
     def run_sequential(
         self,
@@ -369,7 +329,7 @@ class MultiRegionRunner:
         overlapping.
         """
         regions, _ordered, _channels, _pipes = self.graph._validate()
-        self.skipped_cycles = 0
+        self.skipped_cycles = self.ticks_issued = 0
         total = 0
         region_done: dict[str, int] = {}
         for region in regions:
@@ -377,49 +337,20 @@ class MultiRegionRunner:
             total += report.cycles
             region_done[region.name] = total
             self.skipped_cycles += region.skipped_cycles
+            self.ticks_issued += region.ticks_issued
         return self._report(total, region_done, mode="sequential")
 
     # -- internals ------------------------------------------------------------------
-
-    def _skip_window(self, live: list[Process], cycle: int, channels) -> int:
-        """Dead-window length starting at ``cycle``, across all regions.
-
-        Identical contract to :meth:`DataflowRegion._skip_window`, with
-        the horizon taken over every live process of every region and
-        every (deduped) channel — the hints compose because each hint
-        already means "nothing I observe changes", and during a window
-        in which *no* process anywhere acts, nothing anywhere changes.
-        """
-        horizon: float = float("inf")
-        for proc in live:
-            event = proc.next_event(cycle)
-            if event is None:
-                return 0
-            if event < horizon:
-                horizon = event
-        for channel in channels:
-            event = channel.next_event(cycle)
-            if event < horizon:
-                horizon = event
-        if horizon == float("inf"):
-            return 0
-        return int(horizon) - cycle
 
     def _deadlock_message(self, cycle: int, channels) -> str:
         lines = [
             f"deadlock in pipeline {self.graph.name!r} at cycle {cycle}:"
         ]
         for region in self.graph.regions:
-            stuck = [p for p in region.processes if not p.done()]
-            if not stuck:
-                continue
-            lines.append(f"  region {region.name!r}:")
-            for p in stuck:
-                lines.append(f"    stuck: {p!r}")
-                for s in p.inputs():
-                    lines.append(f"      in  {s!r}")
-                for s in p.outputs():
-                    lines.append(f"      out {s!r}")
+            stuck = stuck_lines(region.processes, "    ")
+            if stuck:
+                lines.append(f"  region {region.name!r}:")
+                lines += stuck
         for channel in channels:
             lines.append(f"  channel: {channel!r}")
         return "\n".join(lines)
@@ -437,17 +368,7 @@ class MultiRegionRunner:
         )
         for i, channel in enumerate(channels):
             stats[f"__memory_channel_{i}__"] = channel.stats
-        pipe_stats = {
-            pipe.name: {
-                "depth": pipe.depth,
-                "high_water": pipe.high_water,
-                "total_writes": pipe.total_writes,
-                "total_reads": pipe.total_reads,
-                "write_stalls": pipe.write_stalls,
-                "read_stalls": pipe.read_stalls,
-            }
-            for pipe in pipes
-        }
+        pipe_stats = {pipe.name: stream_fields(pipe) for pipe in pipes}
         return PipelineReport(
             cycles=cycles,
             mode=mode,

@@ -7,11 +7,10 @@ it made *progress* in a cycle — the region uses this for deadlock
 detection — and whether it has *finished* its program.
 
 Processes may additionally publish a :meth:`Process.next_event` hint
-("no state change before cycle N") that lets the region's
-cycle-skipping fast path jump over deterministic waits — initiation
-interval bubbles, burst-grant waits, drained channels — in one step
-while keeping the cycle accounting identical to the reference
-one-cycle-at-a-time loop (see ``docs/simulator_fastpath.md``).
+("no state change before cycle N") that lets the cycle kernel park a
+blocked process — on a full/empty FIFO, a burst-grant wait — instead
+of ticking it, while keeping the cycle accounting identical to the
+reference one-cycle-at-a-time loop (see ``docs/simulator_fastpath.md``).
 """
 
 from __future__ import annotations
@@ -73,7 +72,11 @@ class Process(abc.ABC):
 
     @abc.abstractmethod
     def tick(self, cycle: int) -> bool:
-        """Advance one clock cycle; return True if progress was made."""
+        """Advance one clock cycle; return True if progress was made.
+
+        Stream writes, reads and closes only happen on a tick returning
+        True: those are the ticks that wake parked stream peers.
+        """
 
     @abc.abstractmethod
     def done(self) -> bool:
@@ -104,7 +107,7 @@ class Process(abc.ABC):
     def next_event(self, cycle: int) -> int | float | None:
         """Earliest future cycle at which this process might act.
 
-        The contract powering the region's cycle-skipping fast path:
+        The contract powering parking and cycle skipping:
 
         * an ``int`` N (``> cycle``) — every tick from ``cycle`` up to
           (excluding) N is a pure repeat of the current stall/bubble
@@ -117,8 +120,11 @@ class Process(abc.ABC):
         * ``None`` — no guarantee: the next tick may do real work, or
           the process cannot predict itself.  Disables skipping.
 
-        The default is ``None``, so unknown :class:`Process` subclasses
-        always take the reference one-cycle-at-a-time loop.  A subclass
+        After a stalled tick the cycle kernel parks the process on an
+        ``int`` until that cycle, whatever its peers do, and on
+        ``NO_SELF_EVENT`` until a stream peer progresses (so a channel
+        wait must name its completion cycle instead).  The default is
+        ``None``, so unknown subclasses are never parked.  A subclass
         that overrides :meth:`tick` without revisiting this hint must
         return ``None`` (the built-in implementations guard on the
         exact ``tick`` identity for this reason).
@@ -128,9 +134,11 @@ class Process(abc.ABC):
     def skip_cycles(self, cycle: int, count: int) -> None:
         """Apply ``count`` cycles of bulk stall accounting.
 
-        Called by the fast path only inside a window validated by
-        :meth:`next_event`; must leave this process (and its streams)
-        in exactly the state ``count`` reference ticks would have.
+        Called only for a window validated by :meth:`next_event`; must
+        leave this process (and its streams) in exactly the state
+        ``count`` reference ticks would have.  A waking process is
+        credited after a peer may have changed its streams, so the
+        credit follows the process's own state, not the streams' fill.
         """
         raise RuntimeError(
             f"{type(self).__name__}({self.name!r}) advertised a skippable "

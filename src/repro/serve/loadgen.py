@@ -721,10 +721,9 @@ def replay_trace(
             except JobQueueFull:
                 outcomes["queue_shed"] += 1
                 return
-            futures.append((event, future))
-
-        await asyncio.gather(*(_one(e) for e in trace))
-        for event, future in futures:
+            futures.append(future)
+            # awaited here, not after the last arrival: the latency is
+            # stamped when this request completes
             try:
                 await asyncio.wait_for(future, timeout=max_wait_s)
             except JobDeadlineExceeded:
@@ -733,11 +732,11 @@ def replay_trace(
                 outcomes["failed"] += 1
             else:
                 outcomes["completed"] += 1
-                latencies.append(loop.time() - (start + event.t / speedup))
+                latencies.append(loop.time() - target)
+
+        await asyncio.gather(*(_one(e) for e in trace))
         outcomes["latency_s"] = summarize(latencies)
-        outcomes["unresolved"] = sum(
-            0 if f.done() else 1 for _, f in futures
-        )
+        outcomes["unresolved"] = sum(0 if f.done() else 1 for f in futures)
         return outcomes
 
     return asyncio.run(_run())

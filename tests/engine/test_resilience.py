@@ -367,7 +367,15 @@ class TestDeadlines:
 class TestRetriesEndToEnd:
     def test_killed_worker_jobs_land_on_the_survivor(self):
         plan = FaultPlan(
-            [FaultRule(scope="worker", mode="kill", match="w0")]
+            [
+                FaultRule(scope="worker", mode="kill", match="w0"),
+                # w1 is slow, so w0 is sure to take a batch before w1
+                # can drain them all (and its kill forces a retry)
+                FaultRule(
+                    scope="worker", mode="latency", match="w1",
+                    latency_s=0.1,
+                ),
+            ]
         )
         eng = ExecutionEngine(
             n_workers=2,

@@ -6,6 +6,8 @@ tests pin each link of that chain — trace generation, JSON round-trip,
 shard assignment, and the virtual-time simulation itself.
 """
 
+import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -19,6 +21,7 @@ from repro.serve.loadgen import (
     job_from_event,
     modeled_device_seconds,
     offered_load_sweep,
+    replay_trace,
     simulate_tier,
     trace_from_json,
     trace_to_json,
@@ -154,3 +157,31 @@ class TestOfferedLoadSweep:
         a = offered_load_sweep(SPEC, [0.5, 2.0], TIER)
         b = offered_load_sweep(SPEC, [0.5, 2.0], TIER)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class _InstantGateway:
+    """Resolves every admitted job the moment it is submitted."""
+
+    async def submit(self, tenant, job):
+        future = asyncio.get_running_loop().create_future()
+        future.set_result(job)
+        return future
+
+
+class TestReplayLatency:
+    def test_latency_is_stamped_at_completion(self):
+        # arrivals spread over 0.6 s of wall time; each future resolves
+        # at once, so no latency may include the wait for later arrivals
+        span_s, n = 0.6, 13
+        trace = [
+            dataclasses.replace(event, t=span_s * i / (n - 1))
+            for i, event in enumerate(generate_trace(SPEC)[:n])
+        ]
+        outcomes = replay_trace(_InstantGateway(), trace)
+        assert outcomes["completed"] == n
+        assert outcomes["unresolved"] == 0
+        latency = outcomes["latency_s"]
+        assert latency["count"] == n
+        # stamping after the last arrival gave p50 ~ span/2, max ~ span
+        assert latency["p50"] < span_s / 6
+        assert latency["max"] < span_s / 2

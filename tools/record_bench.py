@@ -7,6 +7,8 @@ Measures, on the current machine:
   and with the vectorized numpy lanes (``vector_lanes=True``),
 * the cycle-skipping fast path's wall-clock speedup on the channel-bound
   Fig 7 workload (reference loop vs skipping loop),
+* the cycle kernel's ticks issued per simulated cycle, per process
+  class, on that workload and on the transfer-bound pipeline,
 * exhaustive vs surrogate-pruned FIFO-sizing sweep wall time,
 * the surrogate's maximum leave-one-out relative error on the honesty
   calibration set.
@@ -45,6 +47,7 @@ import json
 import platform
 import sys
 import time
+from collections import Counter
 
 
 def _best_of(fn, n=3):
@@ -110,6 +113,62 @@ def bench_fastpath() -> dict:
         "fast_ms": round(1e3 * fast_s, 1),
         "speedup": round(ref_s / fast_s, 2),
     }
+
+
+def _count_ticks(processes) -> Counter:
+    """Count ``tick`` calls per process class (wraps each instance)."""
+    counts: Counter = Counter()
+    for proc in processes:
+        def tick(cycle, _tick=proc.tick, _cls=type(proc).__name__):
+            counts[_cls] += 1
+            return _tick(cycle)
+
+        proc.tick = tick
+    return counts
+
+
+def bench_kernel() -> dict:
+    """The cycle kernel's own work: ticks issued per simulated cycle.
+
+    Per process class, on the channel-bound Fig 7 region (the
+    ``fastpath`` workload) and on the transfer-bound pricing pipeline,
+    plus the wall time of each run.  Parking shows up as ticks per
+    cycle well below the process count.
+    """
+    from repro.core.decoupled import build_transfer_only_region
+    from repro.core.pricing import build_pricing_pipeline
+    from repro.harness.pipelines import TRANSFER_BOUND_CONFIG
+
+    def fig7():
+        region, _, _ = build_transfer_only_region(
+            n_work_items=6, values_per_item=4096, burst_words=1,
+            stream_depth=2,
+        )
+        return region, region.processes
+
+    def pipeline():
+        build = build_pricing_pipeline(TRANSFER_BOUND_CONFIG)
+        procs = [p for r in build.graph.regions for p in r.processes]
+        return build.runner, procs
+
+    out = {}
+    for name, make in (("fig7", fig7), ("pipeline", pipeline)):
+        wall_s, _ = _best_of(lambda: make()[0].run())
+        runner, procs = make()
+        counts = _count_ticks(procs)
+        report = runner.run()
+        assert sum(counts.values()) == runner.ticks_issued
+        out[name] = {
+            "cycles": report.cycles,
+            "ticks_issued": runner.ticks_issued,
+            "skipped_cycles": runner.skipped_cycles,
+            "ticks_per_cycle": {
+                cls: round(n / report.cycles, 4)
+                for cls, n in sorted(counts.items())
+            },
+            "wall_ms": round(1e3 * wall_s, 1),
+        }
+    return out
 
 
 def bench_pruned_sweep() -> dict:
@@ -251,6 +310,7 @@ SUITE_BENCHES: dict = {
     "simulator": {
         "lane_throughput": bench_lane_throughput,
         "fastpath": bench_fastpath,
+        "kernel": bench_kernel,
         "pruned_sweep": bench_pruned_sweep,
         "surrogate": bench_surrogate_error,
         "pipeline": bench_pipeline,
