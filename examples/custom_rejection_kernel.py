@@ -28,6 +28,7 @@ from repro.core import (
     TransferEngine,
 )
 from repro.core.mt_adapted import AdaptedMT
+from repro.obs.stall import COMPUTE, FIFO_FULL
 from repro.rng.marsaglia_bray import marsaglia_bray_attempt
 from repro.rng.mersenne import MT521_PARAMS
 from repro.rng.uniform import uint_to_symmetric
@@ -60,20 +61,18 @@ class TruncatedNormalKernel(Process):
         return self._done
 
     def tick(self, cycle):
-        if self._done:
-            return self._account(False)
+        # each tick returns its stall state: compute, or why it blocked
         if self._pending is not None:
             if not self.sink.can_write():
-                self._account(False)
-                return False
+                return self._account(FIFO_FULL)
             self.sink.write(self._pending)
             self._pending = None
-            return self._account(True)
+            return self._account(COMPUTE)
         # dynamically-modified exit, read through the delayed counter
         if self.counter.delayed >= self.quota:
             self._done = True
             self.sink.close()
-            return self._account(True)
+            return self._account(COMPUTE)
         self.counter.shift()
         self.attempts += 1
         u1 = uint_to_symmetric(self.mt_a(True))
@@ -86,7 +85,7 @@ class TruncatedNormalKernel(Process):
                 self.sink.write(x)
             else:
                 self._pending = x
-        return self._account(True)
+        return self._account(COMPUTE)
 
 
 def main() -> None:

@@ -30,6 +30,7 @@ from repro.core.delayed_counter import NAIVE_EXIT_II, DelayedCounter
 from repro.core.mt_adapted import AdaptedMT, NaiveGatedMT
 from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
+from repro.obs.stall import COMPUTE, FIFO_FULL, PIPELINE
 from repro.rng.gamma import gamma_attempt, gamma_correct, marsaglia_tsang_constants
 from repro.rng.icdf import IcdfFpga, icdf_cuda_style
 from repro.rng.box_muller import box_muller_pair
@@ -187,11 +188,6 @@ class GammaRNGProcess(Process):
     def done(self) -> bool:
         return self._done
 
-    def stall_reason(self) -> str | None:
-        if self._stall_budget > 0:
-            return "pipeline"  # II bubble / gated-MT flush cycle
-        return None
-
     # -- cycle-skipping fast path ----------------------------------------------------
 
     def next_event(self, cycle: int) -> int | float | None:
@@ -209,12 +205,10 @@ class GammaRNGProcess(Process):
         if self._pending is not None:
             # blocked write: one failing can_write() poll per cycle
             self.sink.credit_write_stalls(count, cycle + count - 1)
-            self.stats.cycles += count
-            self.stats.stall_cycles += count
-            return
-        self._stall_budget -= count
-        self.stats.cycles += count
-        self.stats.pipeline_cycles += count
+            self._account(FIFO_FULL, count)
+        else:
+            self._stall_budget -= count
+            self._account(PIPELINE, count)
 
     # -- helpers --------------------------------------------------------------------
 
@@ -245,25 +239,21 @@ class GammaRNGProcess(Process):
 
     # -- the pipeline ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> bool:
-        if self._done:
-            return self._account(False)
-
+    def tick(self, cycle: int) -> str:
         # a completed iteration is waiting on a full output stream:
         # the whole pipeline freezes (hls::stream blocking write)
         if self._pending is not None:
             if not self.sink.can_write(cycle):
-                self._account(False)
-                return False  # genuinely blocked; deadlock-detectable
+                return self._account(FIFO_FULL)
             self.sink.write(self._pending)
             self._pending = None
-            return self._account(True)
+            return self._account(COMPUTE)
 
         # II bubbles / naive-MT flush cycles: time passes by design,
         # not a deadlock — accounted in the dedicated pipeline bucket
         if self._stall_budget > 0:
             self._stall_budget -= 1
-            return self._account_bubble()
+            return self._account(PIPELINE)
 
         # MAINLOOP exit condition (evaluated at the top, Listing 2)
         cfg = self.config
@@ -275,9 +265,9 @@ class GammaRNGProcess(Process):
             if self._sector >= cfg.sectors:
                 self._done = True
                 self.sink.close()
-                return self._account(True)
+                return self._account(COMPUTE)
             self._enter_sector(self._sector)
-            return self._account(True)
+            return self._account(COMPUTE)
 
         # ---- one MAINLOOP iteration ----
         self._counter.shift()  # UpdateRegUI
@@ -326,7 +316,7 @@ class GammaRNGProcess(Process):
             stall += bubbles
         self._stall_budget = stall
         _ = wrote
-        return self._account(True)
+        return self._account(COMPUTE)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.kernel import GammaKernelConfig, GammaRNGProcess
 from repro.core.stream import Stream
+from repro.obs.stall import COMPUTE, FIFO_FULL, PIPELINE
 from repro.rng.gamma import marsaglia_tsang_constants
 from repro.rng.icdf import IcdfFpga
 from repro.rng.uniform import uint_to_float, uint_to_symmetric
@@ -291,21 +292,17 @@ class VectorGammaRNGProcess(GammaRNGProcess):
         # so the cycle-skipping fast path stays valid
         self._hintable = True
 
-    def tick(self, cycle: int) -> bool:
-        if self._done:
-            return self._account(False)
-
+    def tick(self, cycle: int) -> str:
         if self._pending is not None:
             if not self.sink.can_write(cycle):
-                self._account(False)
-                return False  # genuinely blocked; deadlock-detectable
+                return self._account(FIFO_FULL)
             self.sink.write(self._pending)
             self._pending = None
-            return self._account(True)
+            return self._account(COMPUTE)
 
         if self._stall_budget > 0:
             self._stall_budget -= 1
-            return self._account_bubble()
+            return self._account(PIPELINE)
 
         record = self._lanes.pop()
         if record is _ADVANCE:
@@ -313,9 +310,9 @@ class VectorGammaRNGProcess(GammaRNGProcess):
             if self._sector >= self.config.sectors:
                 self._done = True
                 self.sink.close()
-                return self._account(True)
+                return self._account(COMPUTE)
             self._enter_sector(self._sector)
-            return self._account(True)
+            return self._account(COMPUTE)
 
         ok, wrote, value, bubbles = record
         self.attempts += 1
@@ -332,4 +329,4 @@ class VectorGammaRNGProcess(GammaRNGProcess):
             self.overrun_iterations += 1
         self._k += 1
         self._stall_budget = self.config.ii - 1 + bubbles
-        return self._account(True)
+        return self._account(COMPUTE)

@@ -120,7 +120,10 @@ class MemoryChannel:
 
     Transfer engines :meth:`submit` bursts and poll ``request.done``.
     The owning :class:`~repro.core.dataflow.DataflowRegion` ticks the
-    channel once per cycle, after the processes.
+    channel once per cycle, after the processes.  While ``granted`` is
+    a list, every granted burst is appended to it — stall attribution
+    reads the transfer windows off their ``started_cycle`` and
+    ``completed_cycle``.
     """
 
     def __init__(
@@ -133,6 +136,7 @@ class MemoryChannel:
         self._queue: deque[BurstRequest] = deque()
         self._current: BurstRequest | None = None
         self.stats = ChannelStats()
+        self.granted: list[BurstRequest] | None = None
 
     def submit(self, request: BurstRequest) -> BurstRequest:
         """Enqueue a burst; it is granted in FIFO order."""
@@ -146,27 +150,35 @@ class MemoryChannel:
     def busy(self) -> bool:
         return self._current is not None or bool(self._queue)
 
+    def _grant(self, cycle: int) -> BurstRequest:
+        req = self._current = self._queue.popleft()
+        req.started_cycle = cycle
+        req._remaining = self.config.burst_cycles(len(req.words))
+        if self.granted is not None:
+            self.granted.append(req)
+        return req
+
+    def _complete(self, cycle: int) -> None:
+        req = self._current
+        req.completed_cycle = cycle
+        if self.memory is not None:
+            self.memory.write_burst(req.address, req.words)
+        self.stats.bursts += 1
+        self.stats.words += len(req.words)
+        self._current = None
+
     def tick(self, cycle: int) -> bool:
         """Advance one cycle; returns True when the channel was busy."""
-        if self._current is None:
+        req = self._current
+        if req is None:
             if not self._queue:
                 self.stats.idle_cycles += 1
                 return False
-            self._current = self._queue.popleft()
-            self._current.started_cycle = cycle
-            self._current._remaining = self.config.burst_cycles(
-                len(self._current.words)
-            )
-        self._current._remaining -= 1
+            req = self._grant(cycle)
+        req._remaining -= 1
         self.stats.busy_cycles += 1
-        if self._current._remaining <= 0:
-            req = self._current
-            req.completed_cycle = cycle
-            if self.memory is not None:
-                self.memory.write_burst(req.address, req.words)
-            self.stats.bursts += 1
-            self.stats.words += len(req.words)
-            self._current = None
+        if req._remaining <= 0:
+            self._complete(cycle)
         return True
 
     # -- cycle-skipping fast path --------------------------------------------------
@@ -219,27 +231,18 @@ class MemoryChannel:
         at = cycle
         end = cycle + count
         while at < end:
-            if self._current is None:
+            req = self._current
+            if req is None:
                 if not self._queue:
                     self.stats.idle_cycles += end - at
                     return
-                self._current = self._queue.popleft()
-                self._current.started_cycle = at
-                self._current._remaining = self.config.burst_cycles(
-                    len(self._current.words)
-                )
-            step = min(self._current._remaining, end - at)
-            self._current._remaining -= step
+                req = self._grant(at)
+            step = min(req._remaining, end - at)
+            req._remaining -= step
             self.stats.busy_cycles += step
             at += step
-            if self._current._remaining <= 0:
-                req = self._current
-                req.completed_cycle = at - 1
-                if self.memory is not None:
-                    self.memory.write_burst(req.address, req.words)
-                self.stats.bursts += 1
-                self.stats.words += len(req.words)
-                self._current = None
+            if req._remaining <= 0:
+                self._complete(at - 1)
 
     def __repr__(self) -> str:
         return (

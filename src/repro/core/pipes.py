@@ -44,7 +44,6 @@ from repro.core.dataflow import (
     DataflowError,
     DataflowRegion,
     RegionReport,
-    _ProcessStatsMap,
     _Runtime,
     stream_fields,
     stuck_lines,
@@ -52,6 +51,8 @@ from repro.core.dataflow import (
 from repro.core.process import Process
 from repro.core.scheduler import CycleKernel
 from repro.core.stream import Stream
+from repro.obs import get_tracer
+from repro.obs.stall import StallAttribution, StallReport
 
 __all__ = [
     "MultiRegionRunner",
@@ -97,6 +98,10 @@ class PipelineReport(_Runtime):
     #: stats (``__memory_channel_0__``, …) — channels shared between
     #: regions appear exactly once
     process_stats: dict[str, object] = field(default_factory=dict)
+    #: stall attribution of a traced pipelined run, over every process
+    #: and channel of the graph (sequential runs attribute each region
+    #: in its own ``RegionReport``)
+    stall_report: StallReport | None = None
 
     @property
     def stream_stats(self) -> dict[str, dict]:
@@ -292,10 +297,15 @@ class MultiRegionRunner:
         ``RuntimeError`` when ``max_cycles`` elapse, and
         ``fast_path=False`` forces the reference one-cycle-at-a-time
         loop (the differential suite asserts field-for-field identical
-        :class:`PipelineReport`\\ s).
+        :class:`PipelineReport`\\ s).  With the global tracer enabled
+        the run is attributed under the graph's name
+        (``report.stall_report``).
         """
         regions, ordered, channels, _pipes = self.graph._validate()
+        tracer = get_tracer()
         kernel = CycleKernel(ordered, channels, park=fast_path is not False)
+        if tracer.enabled:
+            kernel.observer = StallAttribution(self.graph.name, tracer=tracer)
         try:
             cycles = kernel.run(
                 max_cycles,
@@ -312,7 +322,10 @@ class MultiRegionRunner:
             for i, r in enumerate(regions)
         )
         region_done = {name: cycle for cycle, _, name in done}
-        return self._report(cycles, region_done, mode="pipelined")
+        report = self._report(cycles, region_done, mode="pipelined")
+        if kernel.observer is not None:
+            report.stall_report = kernel.observer.report()
+        return report
 
     def run_sequential(
         self,
@@ -363,9 +376,7 @@ class MultiRegionRunner:
             r.name: r._report(region_done.get(r.name, cycles))
             for r in regions
         }
-        stats = _ProcessStatsMap(
-            (p.name, p.stats) for r in regions for p in r.processes
-        )
+        stats = {p.name: p.stats for r in regions for p in r.processes}
         for i, channel in enumerate(channels):
             stats[f"__memory_channel_{i}__"] = channel.stats
         pipe_stats = {pipe.name: stream_fields(pipe) for pipe in pipes}

@@ -67,6 +67,7 @@ from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
 from repro.core.transfer import TransferEngine
 from repro.fixedpoint import FLOATS_PER_WORD
+from repro.obs.stall import COMPUTE, FIFO_EMPTY, FIFO_FULL
 
 __all__ = [
     "AggregatingTransferEngine",
@@ -170,20 +171,14 @@ class PricingProcess(Process):
             # in-flight value per sink)
             for sink, _ in self._pending:
                 sink.credit_write_stalls(count, cycle + count - 1)
-            self.stats.cycles += count
-            self.stats.stall_cycles += count
-            return
-        # starved: one failing can_read() poll per skipped cycle
-        self.source.credit_read_stalls(count, cycle + count - 1)
-        self.stats.cycles += count
-        self.stats.stall_cycles += count
+            self._account(FIFO_FULL, count)
+        else:  # starved: one failing can_read() poll per skipped cycle
+            self.source.credit_read_stalls(count, cycle + count - 1)
+            self._account(FIFO_EMPTY, count)
 
     # -- the pipeline --------------------------------------------------------------
 
-    def tick(self, cycle: int) -> bool:
-        if self._done:
-            return self._account(False)
-
+    def tick(self, cycle: int) -> str:
         # flush values frozen on full sinks before reading anything new
         if self._pending:
             flushed = False
@@ -195,7 +190,7 @@ class PricingProcess(Process):
                 else:
                     still.append((sink, value))
             self._pending = still
-            return self._account(flushed)
+            return self._account(COMPUTE if flushed else FIFO_FULL)
 
         # quota met, or the producer closed early (limit_max capped it):
         # declare done and propagate the close downstream
@@ -203,10 +198,10 @@ class PricingProcess(Process):
             self._done = True
             self.priced_sink.close()
             self.raw_sink.close()
-            return self._account(True)
+            return self._account(COMPUTE)
 
         if not self.source.can_read(cycle):
-            return self._account(False)
+            return self._account(FIFO_EMPTY)
         value = self.source.read()
         priced = self.price(value)
         self.prices.append(priced)
@@ -220,7 +215,7 @@ class PricingProcess(Process):
                 sink.write(token)
             else:
                 self._pending.append((sink, token))
-        return self._account(True)
+        return self._account(COMPUTE)
 
 
 class AggregatingTransferEngine(TransferEngine):

@@ -2,9 +2,10 @@
 
 Each HLS dataflow function (``GammaRNG``, ``Transfer``, …) becomes a
 :class:`Process`: an object advanced one clock cycle at a time by the
-:class:`~repro.core.dataflow.DataflowRegion`.  A process reports whether
-it made *progress* in a cycle — the region uses this for deadlock
-detection — and whether it has *finished* its program.
+:class:`~repro.core.scheduler.CycleKernel`.  Each tick returns the
+cycle's :mod:`repro.obs.stall` state — the kernel reads progress off it
+for deadlock detection and wake-ups, the stall attribution records it —
+and :meth:`Process.done` says whether the process finished its program.
 
 Processes may additionally publish a :meth:`Process.next_event` hint
 ("no state change before cycle N") that lets the cycle kernel park a
@@ -19,6 +20,7 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.core.stream import Stream
+from repro.obs.stall import COMPUTE, PIPELINE
 
 __all__ = ["NO_SELF_EVENT", "Process", "ProcessStats"]
 
@@ -34,14 +36,15 @@ class ProcessStats:
 
     The three cycle buckets are disjoint and sum to ``cycles``:
 
-    * ``active_cycles`` — real work issued (an iteration, a stream
-      write, a burst grant);
-    * ``stall_cycles`` — blocked with no progress: the tick returned
-      False (empty/full stream, waiting on the shared channel);
-    * ``pipeline_cycles`` — initiation-interval bubbles: time passes by
-      design (the tick returns True for deadlock detection) but no work
-      issues.  Matches the ``pipeline`` class of
-      :mod:`repro.obs.stall`.
+    * ``active_cycles`` — ``compute`` ticks: real work issued (an
+      iteration, a stream write, a burst grant);
+    * ``stall_cycles`` — ``fifo_full``, ``fifo_empty`` and
+      ``memory_channel`` ticks: blocked with no progress;
+    * ``pipeline_cycles`` — ``pipeline`` ticks: initiation-interval
+      bubbles, time passing by design with no work issued.
+
+    :meth:`Process._account` is the one place that maps a state to its
+    bucket.
     """
 
     cycles: int = 0  # cycles the process was live (not yet done)
@@ -61,9 +64,9 @@ class Process(abc.ABC):
     """One dataflow function instance in the simulated region.
 
     Subclasses implement :meth:`tick`, which advances exactly one clock
-    cycle and returns True when the cycle did useful work (False = the
-    process stalled).  ``tick`` is never called again once :meth:`done`
-    returns True.  ``done`` is monotone: once True it stays True.
+    cycle and returns that cycle's state, and :meth:`done`.  ``tick`` is
+    never called again once ``done`` returns True; ``done`` is monotone:
+    once True it stays True.
     """
 
     def __init__(self, name: str):
@@ -71,11 +74,16 @@ class Process(abc.ABC):
         self.stats = ProcessStats()
 
     @abc.abstractmethod
-    def tick(self, cycle: int) -> bool:
-        """Advance one clock cycle; return True if progress was made.
+    def tick(self, cycle: int) -> str:
+        """Advance one clock cycle; return its :mod:`repro.obs.stall` state.
 
-        Stream writes, reads and closes only happen on a tick returning
-        True: those are the ticks that wake parked stream peers.
+        The state is ``compute`` (work issued), ``pipeline`` (an II
+        bubble: time passes by design), or why the process was blocked:
+        ``fifo_full``, ``fifo_empty`` or ``memory_channel`` (waiting for
+        a burst grant or completion).  ``compute`` and ``pipeline`` count
+        as progress for deadlock detection; stream writes, reads and
+        closes only happen on those ticks, which wake parked stream
+        peers.  End every tick with ``return self._account(state)``.
         """
 
     @abc.abstractmethod
@@ -89,18 +97,6 @@ class Process(abc.ABC):
     def outputs(self) -> tuple[Stream, ...]:
         """Streams this process produces."""
         return ()
-
-    def stall_reason(self) -> str | None:
-        """Why the *next* tick would stall, if the process knows.
-
-        Sampled by the instrumented region loop *before* ``tick()`` and
-        consulted only when the cycle shows no progress and no FIFO
-        poll failed — the cases the stream counters cannot explain
-        (channel-grant waits, initiation-interval bubbles).  Values are
-        the :mod:`repro.obs.stall` state names; ``None`` means "no
-        specific reason" and classifies as a generic pipeline bubble.
-        """
-        return None
 
     # -- cycle-skipping fast path hints --------------------------------------------
 
@@ -120,7 +116,7 @@ class Process(abc.ABC):
         * ``None`` — no guarantee: the next tick may do real work, or
           the process cannot predict itself.  Disables skipping.
 
-        After a stalled tick the cycle kernel parks the process on an
+        After a blocked tick the cycle kernel parks the process on an
         ``int`` until that cycle, whatever its peers do, and on
         ``NO_SELF_EVENT`` until a stream peer progresses (so a channel
         wait must name its completion cycle instead).  The default is
@@ -136,9 +132,12 @@ class Process(abc.ABC):
 
         Called only for a window validated by :meth:`next_event`; must
         leave this process (and its streams) in exactly the state
-        ``count`` reference ticks would have.  A waking process is
-        credited after a peer may have changed its streams, so the
-        credit follows the process's own state, not the streams' fill.
+        ``count`` reference ticks would have — in particular it credits
+        the state of the tick that parked it, ``self._account(state,
+        count)``, which is the state stall attribution keeps for the
+        window.  A waking process is credited after a peer may have
+        changed its streams, so the credit follows the process's own
+        state, not the streams' fill.
         """
         raise RuntimeError(
             f"{type(self).__name__}({self.name!r}) advertised a skippable "
@@ -147,27 +146,24 @@ class Process(abc.ABC):
 
     # -- bookkeeping helpers ---------------------------------------------------------
 
-    def _account(self, progressed: bool) -> bool:
-        """Bookkeeping helper subclasses call at the end of tick()."""
-        self.stats.cycles += 1
-        if progressed:
-            self.stats.active_cycles += 1
-        else:
-            self.stats.stall_cycles += 1
-        return progressed
+    def _account(self, state: str, count: int = 1) -> str:
+        """Credit ``count`` cycles of ``state`` to its stats bucket.
 
-    def _account_bubble(self) -> bool:
-        """Account one initiation-interval bubble cycle.
-
-        Bubbles are *time passing by design*: no work issues (so the
-        cycle is not active) but the pipeline is not blocked either (so
-        deadlock detection must see progress).  They land in the
-        dedicated ``pipeline_cycles`` bucket and the tick reports
-        progress — one consistent contract for both consumers.
+        ``compute`` → ``active_cycles``, ``pipeline`` →
+        ``pipeline_cycles``, every blocked state → ``stall_cycles``.
+        Returns ``state``, so a tick ends with ``return
+        self._account(state)``; :meth:`skip_cycles` credits a parked
+        window with ``count``.
         """
-        self.stats.cycles += 1
-        self.stats.pipeline_cycles += 1
-        return True
+        stats = self.stats
+        stats.cycles += count
+        if state == COMPUTE:
+            stats.active_cycles += count
+        elif state == PIPELINE:
+            stats.pipeline_cycles += count
+        else:
+            stats.stall_cycles += count
+        return state
 
     def __repr__(self) -> str:
         state = "done" if self.done() else "running"

@@ -84,15 +84,12 @@ def trace_region(
     with the report.  The channel owner each cycle is marked ``T`` on
     the lane of the process that submitted the draining burst.
 
-    Implemented on the instrumented region loop: a
-    :class:`~repro.obs.StallAttribution` with lane capture classifies
-    every cycle, so the run also yields the full stall report
+    A :class:`~repro.obs.StallAttribution` with lane capture observes
+    the run, so it also yields the full stall report
     (``trace.report.stall_report``) and — when a tracer is active —
-    the Chrome trace-event timeline.
-
-    Passing an attribution pins the run to the reference
-    one-cycle-at-a-time loop (the cycle-skipping fast path is never
-    used for instrumented runs), so lanes cover every cycle exactly.
+    the Chrome trace-event timeline.  The run parks blocked processes
+    like any other; lanes still cover every cycle, identical to a
+    reference one-cycle-at-a-time run.
     """
     if tracer is None:
         tracer = get_tracer()

@@ -1,14 +1,20 @@
-"""The event-driven cycle kernel behind untraced region and pipeline runs.
+"""The event-driven cycle kernel: the one cycle loop of regions and pipelines.
 
 It keeps the reference loop's semantics — tick every live process once
-per cycle in topo order, then every channel; a cycle without progress
-is a deadlock — but parks a process whose tick stalled, as its
+per cycle in topo order, then every channel; a cycle in which no tick
+returns ``compute`` or ``pipeline`` and no channel is busy is a
+deadlock — but parks a process whose tick was blocked, as its
 :meth:`~repro.core.process.Process.next_event` hint allows: on a timer
 (an int) or until a stream peer makes progress (``NO_SELF_EVENT``).
 Parked cycles are bulk-credited through ``skip_cycles`` at wake-up or
 abort, and when everything is parked the channels jump to the next
 event.  ``park=False`` is the reference loop.  The rules (wake order,
 abort credit) are in "Parking and wake-up", docs/simulator_fastpath.md.
+
+Traced runs set :attr:`CycleKernel.observer` to a
+:class:`~repro.obs.stall.StallAttribution`, which sees every tick's
+state; a parked process keeps the state it parked with, so parked and
+skipped windows need no callback.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from repro.core.process import NO_SELF_EVENT, Process
+from repro.obs.stall import COMPUTE, PIPELINE
 
 __all__ = ["CycleKernel", "DeadlockError"]
 
@@ -27,6 +34,7 @@ class DeadlockError(RuntimeError):
 
 
 _RUNNABLE, _WAIT_PEER, _WAIT_TIMER = 0, 1, 2
+_PROGRESS = frozenset((COMPUTE, PIPELINE))  # tick states that are not blocked
 
 
 class CycleKernel:
@@ -36,6 +44,13 @@ class CycleKernel:
     ``tick`` calls, ``skipped_cycles`` the cycles in which no process
     ticked, and ``finished`` maps each process that finished during the
     run to the cycle count at which it was done.
+
+    ``observer``, when set before :meth:`run`, is called as
+    ``observe = observer.start(names, channels)`` with the process names
+    in tick order, then ``observe(index, cycle, state)`` after every
+    tick, and ``observer.finish(cycles, done)`` on every exit:
+    ``cycles`` counts the simulated cycles, a deadlocked one included,
+    and ``done`` maps each finished process's name to its done cycle.
     """
 
     def __init__(
@@ -47,6 +62,7 @@ class CycleKernel:
         self.park = park
         self.ticks_issued = self.skipped_cycles = 0
         self.finished: dict[Process, int] = {}
+        self.observer = None
         ends: dict = {}  # stream -> processes at either end
         for i, proc in enumerate(self.processes):
             for s in (*proc.inputs(), *proc.outputs()):
@@ -70,7 +86,10 @@ class CycleKernel:
         processes have been credited.
         """
         procs, channels, peers = self.processes, self.channels, self._peers
-        park = self.park
+        park, observer = self.park, self.observer
+        observe = None
+        if observer is not None:
+            observe = observer.start([p.name for p in procs], channels)
         n = len(procs)
         state = [_RUNNABLE] * n
         since = [0] * n  # first cycle a parked process did not tick
@@ -78,7 +97,7 @@ class CycleKernel:
         finished = self.finished = {}
         ticked = [i for i, proc in enumerate(procs) if not proc.done()]
         live = len(ticked)
-        stalled: list[int] = []  # ticked False: ask for a hint next cycle
+        stalled: list[int] = []  # ticked blocked: ask for a hint next cycle
         woken: list[int] = []  # woken after their turn: tick next cycle
         ticks = skipped = cycle = 0
 
@@ -91,6 +110,12 @@ class CycleKernel:
             for i in range(n):
                 if state[i] != _RUNNABLE:
                     wake(i, end)
+
+        def deadlock() -> DeadlockError:  # the current cycle made no progress
+            nonlocal cycle
+            cycle += 1
+            credit_parked(cycle)
+            return DeadlockError(deadlock_message(cycle - 1))
 
         try:
             while live:
@@ -132,8 +157,7 @@ class CycleKernel:
                         for channel in channels:
                             channel.tick(cycle)
                         skipped += 1
-                        credit_parked(cycle + 1)
-                        raise DeadlockError(deadlock_message(cycle))
+                        raise deadlock()
                     target = min(horizon, max_cycles)
                     for channel in channels:
                         channel.skip_cycles(cycle, target - cycle)
@@ -147,7 +171,10 @@ class CycleKernel:
                 # (an index checked against the live length) reaches it
                 for i in run:
                     proc = procs[i]
-                    progressed = proc.tick(cycle)
+                    tick_state = proc.tick(cycle)
+                    if observe is not None:
+                        observe(i, cycle, tick_state)
+                    progressed = tick_state in _PROGRESS
                     if progressed:
                         progress = True
                         for j in peers[i]:
@@ -171,9 +198,12 @@ class CycleKernel:
                     if channel.tick(cycle):
                         progress = True
                 if not progress:
-                    credit_parked(cycle + 1)
-                    raise DeadlockError(deadlock_message(cycle))
+                    raise deadlock()
                 cycle += 1
         finally:
             self.ticks_issued, self.skipped_cycles = ticks, skipped
+            if observer is not None:
+                observer.finish(
+                    cycle, {p.name: done for p, done in finished.items()}
+                )
         return cycle

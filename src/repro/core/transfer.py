@@ -22,6 +22,7 @@ from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
 from repro.fixedpoint import FLOATS_PER_WORD, WORD_BITS, float_to_bits
 from repro.fixedpoint.ap_int import ApUInt
+from repro.obs.stall import COMPUTE, FIFO_EMPTY, FIFO_FULL, MEMORY, PIPELINE
 
 __all__ = ["TransferEngine", "DummySource", "WordPacker"]
 
@@ -141,13 +142,6 @@ class TransferEngine(Process):
     def done(self) -> bool:
         return self._state is _State.DONE
 
-    def stall_reason(self) -> str | None:
-        if self._state is _State.WAIT_BURST:
-            return "memory_channel"  # waiting for the shared-channel grant
-        if self._pack_stall > 0:
-            return "pipeline"  # TLOOP II bubble (DEPENDENCE-false ablation)
-        return None
-
     def next_event(self, cycle: int) -> int | float | None:
         if not self._hintable:
             return None
@@ -168,18 +162,13 @@ class TransferEngine(Process):
 
     def skip_cycles(self, cycle: int, count: int) -> None:
         if self._state is _State.WAIT_BURST:
-            self.stats.cycles += count
-            self.stats.stall_cycles += count
-            return
-        if self._pack_stall > 0:
+            self._account(MEMORY, count)
+        elif self._pack_stall > 0:
             self._pack_stall -= count
-            self.stats.cycles += count
-            self.stats.pipeline_cycles += count
-            return
-        # starved PACK: one failing can_read() poll per skipped cycle
-        self.source.credit_read_stalls(count, cycle + count - 1)
-        self.stats.cycles += count
-        self.stats.stall_cycles += count
+            self._account(PIPELINE, count)
+        else:  # starved PACK: one failing can_read() poll per skipped cycle
+            self.source.credit_read_stalls(count, cycle + count - 1)
+            self._account(FIFO_EMPTY, count)
 
     def _ingest(self, value: float) -> float:
         """Observe/transform one value on its way into the packer.
@@ -193,7 +182,7 @@ class TransferEngine(Process):
         """
         return value
 
-    def tick(self, cycle: int) -> bool:
+    def tick(self, cycle: int) -> str:
         if self._state is _State.WAIT_BURST:
             if self._pending is not None and self._pending.done:
                 self._pending = None
@@ -203,16 +192,16 @@ class TransferEngine(Process):
                 else:
                     self._state = _State.PACK
                 # grant/advance bookkeeping counts as progress
-                return self._account(True)
-            return self._account(False)
+                return self._account(COMPUTE)
+            return self._account(MEMORY)  # the burst is queued or draining
 
         # PACK state: one stream read per cycle (TLOOP at II=1 with the
         # DEPENDENCE-false pragma; II=2 without it)
         if self._pack_stall > 0:
             self._pack_stall -= 1
-            return self._account_bubble()  # II bubble: time passes by design
+            return self._account(PIPELINE)  # II bubble: time passes by design
         if not self.source.can_read(cycle):
-            return self._account(False)
+            return self._account(FIFO_EMPTY)
         value = self._ingest(self.source.read())
         if not self.dependence_false:
             self._pack_stall = self.NAIVE_PACK_II - 1
@@ -234,7 +223,7 @@ class TransferEngine(Process):
             self._buffer = []
             self._values_in_burst = 0
             self._state = _State.WAIT_BURST
-        return self._account(True)
+        return self._account(COMPUTE)
 
     @property
     def bursts_completed(self) -> int:
@@ -273,15 +262,12 @@ class DummySource(Process):
     def skip_cycles(self, cycle: int, count: int) -> None:
         # blocked on a full sink: one failing can_write() poll per cycle
         self.sink.credit_write_stalls(count, cycle + count - 1)
-        self.stats.cycles += count
-        self.stats.stall_cycles += count
+        self._account(FIFO_FULL, count)
 
-    def tick(self, cycle: int) -> bool:
-        if self.remaining == 0:
-            return self._account(False)
+    def tick(self, cycle: int) -> str:
         if not self.sink.can_write(cycle):
-            return self._account(False)
+            return self._account(FIFO_FULL)
         self.sink.write(self.value)
         self.remaining -= 1
         self.stats.iterations += 1
-        return self._account(True)
+        return self._account(COMPUTE)

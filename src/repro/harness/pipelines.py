@@ -29,6 +29,7 @@ from repro.core.pricing import (
     run_pricing_pipeline,
 )
 from repro.harness.experiments import ExperimentResult
+from repro.obs import NullTracer, use_tracer
 from repro.rng.mersenne import MT521_PARAMS
 
 __all__ = ["PIPE_SWEEP_DEPTHS", "TRANSFER_BOUND_CONFIG", "run_pipeline"]
@@ -51,6 +52,8 @@ def run_pipeline(
     """Pipelined vs fused vs sequential, plus the channel-affinity split."""
     import dataclasses
 
+    from repro.surrogate import pruned_pipe_depth_sweep
+
     base = config or PricingPipelineConfig()
 
     pipelined = run_pricing_pipeline(base, mode="pipelined")
@@ -65,12 +68,20 @@ def run_pipeline(
             "pipelined and fused runs diverged numerically"
         )
 
+    # under --trace only the three runs above are attributed: the
+    # variants below reuse the graph name, so their spans would land
+    # on the pipelined run's trace row
     tb = TRANSFER_BOUND_CONFIG
-    one_ch = run_pricing_pipeline(tb, mode="pipelined")
-    two_ch = run_pricing_pipeline(
-        dataclasses.replace(tb, n_channels=2, channel_affinity=(0, 1)),
-        mode="pipelined",
-    )
+    with use_tracer(NullTracer()):
+        one_ch = run_pricing_pipeline(tb, mode="pipelined")
+        two_ch = run_pricing_pipeline(
+            dataclasses.replace(tb, n_channels=2, channel_affinity=(0, 1)),
+            mode="pipelined",
+        )
+        sweep = pruned_pipe_depth_sweep(
+            lambda depth: build_pricing_pipeline(base, pipe_depth=depth).runner,
+            depths=PIPE_SWEEP_DEPTHS,
+        )
 
     rows = []
     for label, result in (
@@ -89,13 +100,6 @@ def run_pipeline(
                 f"{result.portfolio_total:.6f}",
             ]
         )
-
-    from repro.surrogate import pruned_pipe_depth_sweep
-
-    sweep = pruned_pipe_depth_sweep(
-        lambda depth: build_pricing_pipeline(base, pipe_depth=depth).runner,
-        depths=PIPE_SWEEP_DEPTHS,
-    )
 
     overlap = pipelined.cycles / sequential.cycles
     speedup = one_ch.cycles / two_ch.cycles

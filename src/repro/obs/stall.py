@@ -4,7 +4,8 @@ The paper's performance argument is about *where cycles go*: decoupled
 work-items keep their pipelines busy, and the Fig 3 schedule hides the
 memory-channel transfers behind other work-items' compute.  This module
 turns that claim into data — every cycle of every process in a
-:class:`~repro.core.dataflow.DataflowRegion` run is attributed to one
+:class:`~repro.core.dataflow.DataflowRegion` or pipelined
+:class:`~repro.core.pipes.MultiRegionRunner` run is attributed to one
 class:
 
 ========================  ====================================================
@@ -23,18 +24,21 @@ of cycles where at least one process computes *while* the memory
 channel is draining a burst.  A decoupled region shows substantial
 overlap (Fig 3's interleaving); a serialized design shows ~0.
 
-:class:`StallAttribution` is driven per cycle by the instrumented
-region loop; it compresses consecutive same-state cycles into windows,
-emits each window as a Chrome ``cat="cycle"`` span through the
-injected :class:`~repro.obs.tracer.Tracer`, and produces a
-:class:`StallReport`.  :func:`reports_from_trace` reconstructs the same
-report from an exported trace file (the ``trace-report`` CLI path).
+:class:`StallAttribution` observes a
+:class:`~repro.core.scheduler.CycleKernel` run: every tick returns its
+state, the attribution keeps the changes, and at the end it lays the
+channel's burst windows over them, emits each same-state window as a
+Chrome ``cat="cycle"`` span through the injected
+:class:`~repro.obs.tracer.Tracer`, and produces a :class:`StallReport`.
+:func:`reports_from_trace` reconstructs the same report from an
+exported trace file (the ``trace-report`` CLI path).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.obs.tracer import NullTracer, Tracer
 
@@ -186,8 +190,75 @@ class StallReport:
         return "\n".join(lines)
 
 
+def _union(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    if not intervals:
+        return []
+    merged: list[tuple[float, float]] = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def _intersection_cycles(
+    a: list[tuple[float, float]], b: list[tuple[float, float]]
+) -> float:
+    total = 0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if hi > lo:
+            total += hi - lo
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return total
+
+
+def _windows(
+    changes: list[tuple[int, str]], transfers: list[tuple[int, int]], end: int
+) -> list[tuple[int, int, str]]:
+    """One process's merged ``(start, stop, state)`` windows over
+    ``[0, end)``: the state of its last tick (``changes`` holds the
+    ticks that changed it), overridden by ``transfer`` wherever one of
+    its bursts drains (``transfers``: disjoint, sorted)."""
+    marks = {end, *(c for c, _ in changes)}
+    marks.update(x for span in transfers for x in span if x < end)
+    marks = sorted(marks)
+    out: list[tuple[int, int, str]] = []
+    ci = ti = 0
+    state = None
+    for lo, hi in zip(marks, marks[1:]):
+        while ci < len(changes) and changes[ci][0] <= lo:
+            state = changes[ci][1]
+            ci += 1
+        while ti < len(transfers) and transfers[ti][1] <= lo:
+            ti += 1
+        now = TRANSFER if ti < len(transfers) and transfers[ti][0] <= lo else state
+        if out and out[-1][2] == now:
+            out[-1] = (out[-1][0], hi, now)
+        else:
+            out.append((lo, hi, now))
+    return out
+
+
 class StallAttribution:
-    """Per-cycle classifier driven by the instrumented region loop.
+    """Observer of one cycle-kernel run, attributing every cycle.
+
+    Set as :attr:`~repro.core.scheduler.CycleKernel.observer` (regions
+    and pipelines do so whenever a tracer is enabled or an attribution
+    is passed in).  :meth:`start` hands the kernel a callback that
+    records each process's tick state when it changes; a parked process
+    keeps the state it parked with.  :meth:`finish` overlays
+    ``transfer`` on a burst owner's cycles from ``started_cycle`` up to
+    ``completed_cycle`` (the channel logs every burst it grants during
+    the run), emits each same-state window as a Chrome ``cat="cycle"``
+    span — in the order a cycle-by-cycle recorder would — and builds
+    the :class:`StallReport`.
 
     Parameters
     ----------
@@ -211,210 +282,118 @@ class StallAttribution:
         self.tracer = tracer if tracer is not None else NullTracer()
         self.keep_lanes = keep_lanes
         self.lanes: dict[str, list[str]] = {}
-        self._counts: dict[str, dict[str, int]] = {}
-        self._windows: dict[str, tuple[str, int]] = {}  # name -> (state, start)
-        self._tracks: dict[str, object] = {}
-        self._channel_busy: list[int] = []
-        self._channel_windows: dict[int, int | None] = {}  # idx -> busy start
-        self._compute_cycles = 0
-        self._overlap_cycles = 0
-        self._cycles = 0
-        self._closed = False
+        self._names: list[str] = []
+        self._changes: list[list[tuple[int, str]]] = []
+        self._channels: tuple = ()
+        self._report = StallReport(region=region, cycles=0)
 
-    # -- per-cycle driving -------------------------------------------------------
+    def start(self, names: list[str], channels) -> Callable[[int, int, str], None]:
+        """Begin a run of the processes ``names`` (in tick order) on
+        ``channels``; returns the ``observe(index, cycle, state)`` tick
+        callback."""
+        self._names = list(names)
+        self._changes = changes = [[] for _ in self._names]
+        self._channels = tuple(channels)
+        for channel in self._channels:
+            channel.granted = []
+        last: list[str | None] = [None] * len(self._names)
 
-    def _track(self, name: str):
-        track = self._tracks.get(name)
-        if track is None:
-            track = self.tracer.track(self.region, name)
-            self._tracks[name] = track
-        return track
+        def observe(index: int, cycle: int, state: str) -> None:
+            if state != last[index]:
+                last[index] = state
+                changes[index].append((cycle, state))
 
-    def _flush_window(self, name: str, end_cycle: int) -> None:
-        window = self._windows.pop(name, None)
-        if window is None:
+        return observe
+
+    def finish(self, cycles: int, done: dict[str, int]) -> None:
+        """End the run after ``cycles`` cycles; ``done`` maps each process
+        that finished during the run to its done cycle."""
+        granted = []
+        for channel in self._channels:
+            granted.append(channel.granted)
+            channel.granted = None
+        if cycles == 0:
             return
-        state, start = window
-        if state != DONE and self.tracer.enabled:
-            self.tracer.complete(
-                self._track(name),
-                state,
-                ts_us=start * CYCLE_US,
-                dur_us=(end_cycle - start) * CYCLE_US,
-                cat="cycle",
+        busy, transfers = [], {}
+        for requests in granted:
+            drains = []
+            for req in requests:
+                start, drained = req.started_cycle, req.completed_cycle
+                if drained is None:  # still draining when the run stopped
+                    drains.append((start, cycles))
+                    owned = (start, cycles)
+                else:  # the owner sees the channel free on its last beat
+                    drains.append((start, drained + 1))
+                    owned = (start, drained)
+                transfers.setdefault(req.owner, []).append(owned)
+            busy.append(_union(drains))
+        # a process never ticked was done before the run started
+        ends = [
+            done.get(name, cycles if changes else 0)
+            for name, changes in zip(self._names, self._changes)
+        ]
+        order = sorted(range(len(ends)), key=lambda i: ends[i] != 0)
+        per_process: dict[str, dict[str, int]] = {}
+        compute: list[tuple[int, int]] = []
+        spans = []  # (emission key, track name, state, start, stop)
+        for i in order:
+            name, end = self._names[i], ends[i]
+            counts = per_process[name] = {}
+            windows = _windows(
+                self._changes[i], _union(transfers.get(name, [])), end
             )
-
-    def record_cycle(
-        self,
-        cycle: int,
-        states: dict[str, str],
-        channels_busy: list[bool],
-    ) -> None:
-        """Attribute one cycle: every process's state + channel activity."""
-        any_compute = False
-        for name, state in states.items():
-            if state == COMPUTE:
-                any_compute = True
-            counts = self._counts.get(name)
-            if counts is None:
-                counts = {}
-                self._counts[name] = counts
-                if self.keep_lanes:
-                    self.lanes[name] = []
-            if state != DONE:
-                counts[state] = counts.get(state, 0) + 1
+            for start, stop, state in windows:
+                counts[state] = counts.get(state, 0) + stop - start
+                if state == COMPUTE:
+                    compute.append((start, stop))
+                # a recorder flushes a window when the state changes (the
+                # processes turning done first, then the live ones, in
+                # tick order), open windows at the end by opening cycle
+                key = (
+                    (stop, stop != end, i) if stop < cycles
+                    else (cycles, 0, start, i)
+                )
+                spans.append((key, name, state, start, stop))
             if self.keep_lanes:
-                self.lanes[name].append(_SYMBOLS.get(state, "w"))
-            window = self._windows.get(name)
-            if window is None:
-                self._windows[name] = (state, cycle)
-            elif window[0] != state:
-                self._flush_window(name, cycle)
-                self._windows[name] = (state, cycle)
-        any_busy = False
-        for i, busy in enumerate(channels_busy):
-            while len(self._channel_busy) <= i:
-                self._channel_busy.append(0)
-                self._channel_windows[len(self._channel_busy) - 1] = None
-            if busy:
-                any_busy = True
-                self._channel_busy[i] += 1
-                if self._channel_windows[i] is None:
-                    self._channel_windows[i] = cycle
-            elif self._channel_windows[i] is not None:
-                self._flush_channel(i, cycle)
-        if any_compute:
-            self._compute_cycles += 1
-            if any_busy:
-                self._overlap_cycles += 1
-        self._cycles = cycle + 1
-
-    def skip_window(
-        self,
-        cycle: int,
-        span: int,
-        states: dict[str, str],
-        channel_busy_counts: list[int],
-    ) -> None:
-        """Attribute a provably dead window of ``span`` cycles in one call.
-
-        The instrumented fast path
-        (:meth:`~repro.core.dataflow.DataflowRegion.run`) calls this in
-        place of ``span`` individual :meth:`record_cycle` calls when
-        every live process is guaranteed to repeat the state it was
-        attributed on the cycle just before the window.  Counts advance
-        by ``span`` at once and open same-state windows simply widen, so
-        the compressed trace spans — and therefore the exported trace
-        and the :class:`StallReport` — are identical to per-cycle
-        recording.  ``channel_busy_counts`` carries the busy cycles each
-        channel credited in its own ``skip_cycles`` (a busy channel
-        drains for the whole window; an idle one stays idle).  A dead
-        window contains no compute cycles by construction, so the
-        compute/overlap headline counters are untouched.
-        """
-        for name, state in states.items():
-            counts = self._counts.get(name)
-            if counts is None:
-                counts = {}
-                self._counts[name] = counts
-                if self.keep_lanes:
-                    self.lanes[name] = []
-            if state != DONE:
-                counts[state] = counts.get(state, 0) + span
-            if self.keep_lanes:
-                self.lanes[name].extend([_SYMBOLS.get(state, "w")] * span)
-            window = self._windows.get(name)
-            if window is None:
-                self._windows[name] = (state, cycle)
-            elif window[0] != state:
-                self._flush_window(name, cycle)
-                self._windows[name] = (state, cycle)
-        for i, busy in enumerate(channel_busy_counts):
-            while len(self._channel_busy) <= i:
-                self._channel_busy.append(0)
-                self._channel_windows[len(self._channel_busy) - 1] = None
-            if busy:
-                self._channel_busy[i] += busy
-                if self._channel_windows[i] is None:
-                    self._channel_windows[i] = cycle
-                if busy < span:
-                    # busy prefix only: the burst drained mid-window
-                    self._flush_channel(i, cycle + busy)
-            elif self._channel_windows[i] is not None:
-                self._flush_channel(i, cycle)
-        self._cycles = cycle + span
-
-    def _flush_channel(self, i: int, end_cycle: int) -> None:
-        start = self._channel_windows[i]
-        if start is None:
-            return
-        self._channel_windows[i] = None
+                lane = self.lanes[name] = []
+                for start, stop, state in windows:
+                    lane += _SYMBOLS.get(state, "w") * (stop - start)
+                lane += _SYMBOLS[DONE] * (cycles - end)
+        for k, intervals in enumerate(busy):
+            for start, stop in intervals:
+                key = (stop, 2, k) if stop < cycles else (cycles, 1, k)
+                spans.append((key, f"memory_channel[{k}]", "burst", start, stop))
         if self.tracer.enabled:
-            self.tracer.complete(
-                self.tracer.track(self.region, f"memory_channel[{i}]"),
-                "burst",
-                ts_us=start * CYCLE_US,
-                dur_us=(end_cycle - start) * CYCLE_US,
-                cat="cycle",
-            )
-
-    # -- finalization ------------------------------------------------------------
-
-    def close(self, total_cycles: int | None = None) -> None:
-        """Flush every open window (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        end = self._cycles if total_cycles is None else total_cycles
-        for name in list(self._windows):
-            self._flush_window(name, end)
-        for i in list(self._channel_windows):
-            self._flush_channel(i, end)
+            for _key, thread, state, start, stop in sorted(spans):
+                self.tracer.complete(
+                    self.tracer.track(self.region, thread),
+                    state,
+                    ts_us=start * CYCLE_US,
+                    dur_us=(stop - start) * CYCLE_US,
+                    cat="cycle",
+                )
+        compute = _union(compute)
+        all_busy = _union([span for intervals in busy for span in intervals])
+        self._report = StallReport(
+            region=self.region,
+            cycles=cycles,
+            per_process=per_process,
+            channel_busy_cycles=[
+                sum(stop - start for start, stop in intervals)
+                for intervals in busy
+            ],
+            compute_cycles=sum(stop - start for start, stop in compute),
+            overlap_cycles=_intersection_cycles(compute, all_busy),
+        )
 
     def report(self) -> StallReport:
-        self.close()
-        return StallReport(
-            region=self.region,
-            cycles=self._cycles,
-            per_process={n: dict(c) for n, c in self._counts.items()},
-            channel_busy_cycles=list(self._channel_busy),
-            compute_cycles=self._compute_cycles,
-            overlap_cycles=self._overlap_cycles,
-        )
+        """The attribution of the finished run."""
+        return self._report
 
 
 # ---------------------------------------------------------------------------
 # reconstruction from an exported trace (the `trace-report` CLI path)
 # ---------------------------------------------------------------------------
-
-
-def _union(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _intersection_cycles(
-    a: list[tuple[float, float]], b: list[tuple[float, float]]
-) -> float:
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
 
 
 def reports_from_trace(source: str | dict) -> list[StallReport]:

@@ -9,6 +9,7 @@ from repro.core import (
     Process,
     Stream,
 )
+from repro.obs.stall import COMPUTE, FIFO_EMPTY, FIFO_FULL, PIPELINE
 
 
 class Producer(Process):
@@ -27,8 +28,8 @@ class Producer(Process):
         if self.remaining and self.sink.can_write():
             self.sink.write(self.remaining)
             self.remaining -= 1
-            return self._account(True)
-        return self._account(False)
+            return self._account(COMPUTE)
+        return self._account(FIFO_FULL)
 
 
 class Consumer(Process):
@@ -48,8 +49,8 @@ class Consumer(Process):
         if self.remaining and self.source.can_read():
             self.received.append(self.source.read())
             self.remaining -= 1
-            return self._account(True)
-        return self._account(False)
+            return self._account(COMPUTE)
+        return self._account(FIFO_EMPTY)
 
 
 class Relay(Process):
@@ -74,8 +75,8 @@ class Relay(Process):
         if self.remaining and self.source.can_read() and self.sink.can_write():
             self.sink.write(self.source.read())
             self.remaining -= 1
-            return self._account(True)
-        return self._account(False)
+            return self._account(COMPUTE)
+        return self._account(FIFO_EMPTY if self.source.empty() else FIFO_FULL)
 
 
 class Stuck(Process):
@@ -92,7 +93,7 @@ class Stuck(Process):
         return False
 
     def tick(self, cycle):
-        return self._account(False)
+        return self._account(FIFO_EMPTY)
 
 
 def _pipe(count=10, depth=2):
@@ -161,7 +162,7 @@ class TestExecution:
         class SlowConsumer(Consumer):
             def tick(self, cycle):
                 if cycle % 2 == 0:
-                    return self._account(False)
+                    return self._account(PIPELINE)  # idle by design
                 return super().tick(cycle)
 
         region.add(SlowConsumer("c", s, 30))
@@ -218,62 +219,6 @@ class TestReport:
         )
         with pytest.raises(ValueError):
             report.runtime_seconds(0)
-
-
-def _channel_region():
-    from repro.core.memory import GlobalMemory, MemoryChannel, MemoryChannelConfig
-    from repro.core.transfer import DummySource, TransferEngine
-
-    memory = GlobalMemory(8)
-    region = DataflowRegion("chan")
-    for i in range(2):
-        region.attach_memory_channel(MemoryChannel(MemoryChannelConfig(), memory))
-    for wid in range(2):
-        s = Stream(f"s{wid}", depth=16)
-        region.add(DummySource(f"src{wid}", s, 16))
-        region.add(
-            TransferEngine(
-                f"eng{wid}", wid, s, region.memory_channels[wid],
-                burst_words=1, bursts_per_sector=1, sectors=1, block_offset=1,
-            )
-        )
-    return region
-
-
-class TestChannelStatsAlias:
-    """Regression: the legacy ``__memory_channel__`` key must resolve to
-    channel 0 but never appear in iteration — consumers aggregating over
-    ``process_stats`` used to double-count the first channel."""
-
-    def test_legacy_key_resolves_to_channel_zero(self):
-        region = _channel_region()
-        report = region.run()
-        assert (
-            report.process_stats["__memory_channel__"]
-            is report.process_stats["__memory_channel_0__"]
-        )
-        assert "__memory_channel__" in report.process_stats
-        assert report.process_stats.get("__memory_channel__") is not None
-
-    def test_alias_excluded_from_iteration(self):
-        region = _channel_region()
-        report = region.run()
-        keys = list(report.process_stats)
-        assert "__memory_channel__" not in keys
-        assert "__memory_channel_0__" in keys
-        assert "__memory_channel_1__" in keys
-        # each ChannelStats object appears exactly once in values()
-        channel_stats = [ch.stats for ch in region.memory_channels]
-        seen = [v for v in report.process_stats.values() if v in channel_stats]
-        assert len(seen) == len(channel_stats)
-
-    def test_no_channel_no_alias(self):
-        region, *_ = _pipe(count=4)
-        report = region.run()
-        assert "__memory_channel__" not in report.process_stats
-        assert report.process_stats.get("__memory_channel__") is None
-        with pytest.raises(KeyError):
-            report.process_stats["__memory_channel__"]
 
 
 class TestAbortPathAttribution:

@@ -32,6 +32,7 @@ from repro.core.memory import GlobalMemory, MemoryChannel, MemoryChannelConfig
 from repro.core.stream import Stream
 from repro.core.transfer import DummySource, TransferEngine
 from repro.harness.configs import CONFIGURATIONS
+from repro.obs.stall import PIPELINE
 
 
 def report_fields(report):
@@ -392,7 +393,7 @@ def test_subclassed_tick_disables_hints():
     class Throttled(DummySource):
         def tick(self, cycle):  # writes every other cycle
             if cycle % 2:
-                return self._account(False)
+                return self._account(PIPELINE)
             return super().tick(cycle)
 
     source = Throttled("src", Stream("s", depth=2), 8)

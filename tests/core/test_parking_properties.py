@@ -10,6 +10,13 @@ one-cycle-at-a-time reference loop) and the default parked kernel.
 Both runs must agree field for field on the report, every stream's
 stats, every channel's stats and device memory, on the normal path as
 on the abort paths (deadlocks and the ``max_cycles`` guard).
+
+Each network also runs traced on both paths, under a global
+:class:`~repro.obs.ChromeTracer` (regions with a lane-keeping
+attribution): the stall report, lanes and trace events must match
+between the paths, the traced run must leave the untraced run's
+report and stats, the attribution must agree with ``ProcessStats``,
+and the exported trace must rebuild the live report.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from repro.core.pricing import AggregatingTransferEngine, PricingProcess
 from repro.core.stream import Stream
 from repro.core.transfer import DummySource, TransferEngine
 from repro.fixedpoint import FLOATS_PER_WORD
+from repro.obs import ChromeTracer, use_tracer
+from repro.obs.stall import COMPUTE, TRANSFER, StallAttribution, reports_from_trace
 from repro.rng.mersenne import MT521_PARAMS
 
 
@@ -373,3 +382,170 @@ def test_generated_networks_exercise_parking():
     assert ref[0] == parked[0] and ref[1] == parked[1]
     assert parked[2].runner.skipped_cycles > 0
     assert parked[2].runner.ticks_issued < ref[2].runner.ticks_issued
+
+
+# ---------------------------------------------------------------------------
+# traced runs: the stall attribution observing the same kernel
+# ---------------------------------------------------------------------------
+
+
+def record_cycles(built: Built) -> dict:
+    """Log what a per-cycle classifier sees on a reference run: each
+    process's tick state, overridden by ``transfer`` while its burst
+    holds a channel after the channel ticked, and each channel's busy
+    flag (in the kernel's channel order)."""
+    log: dict[int, tuple[dict, list]] = {}
+    for proc in built.processes:
+        def tick(cycle, _tick=proc.tick, _name=proc.name):
+            state = _tick(cycle)
+            log.setdefault(cycle, ({}, []))[0][_name] = state
+            return state
+
+        proc.tick = tick
+    runner = built.runner
+    graph = getattr(runner, "graph", runner)
+    for channel in graph.memory_channels:
+        def channel_tick(cycle, _tick=channel.tick, _channel=channel):
+            busy = _tick(cycle)
+            states, channels = log.setdefault(cycle, ({}, []))
+            channels.append(busy)
+            current = _channel._current
+            if current is not None and current.owner in states:
+                states[current.owner] = TRANSFER
+            return busy
+
+        channel.tick = channel_tick
+    return log
+
+
+def classified(log: dict, built: Built, cycles: int, lanes: bool):
+    """The ``(report dict, lanes)`` a per-cycle classifier derives from
+    :func:`record_cycles`' log."""
+    if cycles == 0:  # nothing ran: an empty report
+        report = {"per_process": {}, "channel_busy_cycles": [],
+                  "compute_cycles": 0, "overlap_cycles": 0}
+        return report, ({} if lanes else None)
+    per_process = {p.name: {} for p in built.processes}
+    symbols = {p.name: [] for p in built.processes}
+    busy = [0] * len(log[0][1])
+    compute = overlap = 0
+    for cycle in range(cycles):
+        states, channels = log[cycle]
+        busy = [b + c for b, c in zip(busy, channels)]
+        for name, lane in symbols.items():
+            state = states.get(name)
+            if state is not None:
+                counts = per_process[name]
+                counts[state] = counts.get(state, 0) + 1
+            lane.append({None: ".", COMPUTE: "C", TRANSFER: "T"}.get(state, "w"))
+        if COMPUTE in states.values():
+            compute += 1
+            overlap += any(channels)
+    report = {"per_process": per_process, "channel_busy_cycles": busy,
+              "compute_cycles": compute, "overlap_cycles": overlap}
+    return report, (symbols if lanes else None)
+
+
+def run_traced(net: Net, fast: bool, max_cycles: int = 1_000_000):
+    """:func:`run` under a global ChromeTracer; regions also get a
+    lane-keeping attribution.  Returns ``(outcome, snapshot, built,
+    stall report, lanes, trace)``; a pipeline that aborted has no live
+    stall report (``None``).  The reference run (``fast=False``) is
+    also checked against :func:`classified`."""
+    built = build(net)
+    log = None if fast else record_cycles(built)
+    tracer = ChromeTracer()
+    attribution = None
+    kwargs = {"max_cycles": max_cycles, "fast_path": fast}
+    if isinstance(built.runner, DataflowRegion):
+        attribution = StallAttribution(
+            built.runner.name, tracer=tracer, keep_lanes=True
+        )
+        kwargs["attribution"] = attribution
+    stall = None
+    with use_tracer(tracer):
+        try:
+            report = built.runner.run(**kwargs)
+        except (DeadlockError, RuntimeError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+        else:
+            stall, report.stall_report = report.stall_report, None
+            outcome = dataclasses.asdict(report)
+    if attribution is not None:
+        stall = attribution.report()
+    lanes = attribution.lanes if attribution is not None else None
+    if log is not None and stall is not None:
+        report, expected_lanes = classified(
+            log, built, stall.cycles, lanes is not None
+        )
+        assert {k: stall.to_dict()[k] for k in report} == report
+        assert lanes == expected_lanes
+    return outcome, snapshot(built), built, stall, lanes, tracer.to_dict()
+
+
+def traceable(report) -> dict:
+    """``report.to_dict()`` without what a trace has no span for: a
+    process done before the first cycle, a channel never busy."""
+    d = report.to_dict()
+    d["per_process"] = {n: c for n, c in d["per_process"].items() if c}
+    d["channel_busy_cycles"] = [b for b in d["channel_busy_cycles"] if b]
+    return d
+
+
+def assert_traced_same(net: Net, max_cycles: int = 1_000_000):
+    untraced = run(net, fast=True, max_cycles=max_cycles)
+    ref = run_traced(net, fast=False, max_cycles=max_cycles)
+    fast = run_traced(net, fast=True, max_cycles=max_cycles)
+    for traced in (ref, fast):
+        assert traced[0] == untraced[0]  # report fields, or the abort
+        assert traced[1] == untraced[1]
+    assert fast[2].runner.ticks_issued == untraced[2].runner.ticks_issued
+    assert (ref[3] is None) == (fast[3] is None)
+    if fast[3] is not None:
+        assert ref[3].to_dict() == fast[3].to_dict()
+    assert ref[4] == fast[4]
+    assert ref[5] == fast[5]
+    stats = {p.name: p.stats for p in fast[2].processes}
+    rebuilt = reports_from_trace(fast[5])
+    if fast[3] is None:  # an aborted pipeline: only the trace is left
+        assert len(rebuilt) == (max_cycles > 0)
+        assert all(r.consistent_with(stats) == [] for r in rebuilt)
+        return fast
+    assert fast[3].consistent_with(stats) == []
+    if fast[3].cycles == 0:  # aborted before the first cycle
+        assert rebuilt == []
+    else:
+        assert len(rebuilt) == 1
+        assert traceable(rebuilt[0]) == traceable(fast[3])
+    return fast
+
+
+@given(net=nets())
+@settings(max_examples=25, deadline=None)
+def test_traced_runs_match_reference(net):
+    traced = assert_traced_same(net)
+    assert isinstance(traced[0], dict), traced[0]
+    assert traced[3].cycles == traced[0]["cycles"]
+
+
+@given(net=nets(short=True))
+@settings(max_examples=25, deadline=None)
+def test_traced_short_sources_match_reference(net):
+    """Deadlocked networks too: the attribution covers the deadlocked
+    cycle on both paths, and the trace round-trips."""
+    assert_traced_same(net)
+
+
+@given(net=nets(short=True, max_items=3), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_traced_max_cycles_abort_matches_reference(net, data):
+    outcome, _, _ = run(net, fast=False)
+    if isinstance(outcome, dict):
+        end = outcome["cycles"]
+    else:  # a deadlock: abort somewhere before it
+        end = int(outcome[1].split(" at cycle ")[1].split(":")[0]) + 1
+    max_cycles = data.draw(st.integers(0, end - 1), label="max_cycles")
+    traced = assert_traced_same(net, max_cycles=max_cycles)
+    assert traced[0][0] == "RuntimeError"
+    if traced[3] is not None:
+        assert traced[3].cycles == max_cycles

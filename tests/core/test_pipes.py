@@ -224,11 +224,26 @@ class TestMultiRegionRunner:
         assert "__memory_channel_0__" in names
 
     def test_legacy_channel_alias_on_pipeline_report(self):
+        """The un-indexed ``__memory_channel__`` key is gone; channel 0
+        is reported under its indexed key only."""
         result = run_pricing_pipeline(PricingPipelineConfig())
         stats = result.report.process_stats
-        assert (
-            stats["__memory_channel__"] is stats["__memory_channel_0__"]
-        )
+        assert "__memory_channel__" not in stats
+        assert stats["__memory_channel_0__"] is result.build.channels[0].stats
+
+    @pytest.mark.parametrize("mode", ["pipelined", "fused"])
+    def test_each_channel_counted_once(self, mode):
+        """Channel stats live under indexed keys only, so aggregating
+        over ``process_stats.values()`` sees every channel once."""
+        cfg = PricingPipelineConfig(n_channels=2, channel_affinity=(0, 1))
+        result = run_pricing_pipeline(cfg, mode=mode)
+        stats = result.report.process_stats
+        channels = [c.stats for c in result.build.channels]
+        assert [stats["__memory_channel_0__"], stats["__memory_channel_1__"]] == channels
+        assert stats["__memory_channel_0__"] is not stats["__memory_channel_1__"]
+        assert stats["__memory_channel_0__"].bursts > 0
+        for channel in channels:
+            assert sum(v is channel for v in stats.values()) == 1
 
     def test_runtime_conversion(self):
         result = run_pricing_pipeline(PricingPipelineConfig())

@@ -1,99 +1,23 @@
-"""Regression tests for the ``__memory_channel__`` legacy alias.
+"""The memory-channel entries of ``report.process_stats``.
 
 Seed-era callers addressed the single channel's stats as
-``report.process_stats["__memory_channel__"]``.  Multi-channel reports
-index channels (``__memory_channel_0__``, …) and keep the legacy key as
-a *resolve-only* alias of channel 0: every read-style access works, but
-the alias is never stored, so iteration and aggregation see channel 0
-exactly once.
+``report.process_stats["__memory_channel__"]``.  Reports now key every
+channel by index only (``__memory_channel_0__``, …): the un-indexed key
+is gone, so a reader of the old key fails loudly instead of silently
+seeing channel 0, and iteration sees each channel exactly once.
 """
 
 import pytest
 
-from repro.core.dataflow import LEGACY_CHANNEL_KEY, _ProcessStatsMap
 from repro.core.kernel import GammaKernelConfig
 from repro.core.pricing import PricingPipelineConfig, run_pricing_pipeline
 from repro.core.decoupled import DecoupledConfig, DecoupledWorkItems
 
-
-@pytest.fixture
-def stats_map():
-    return _ProcessStatsMap(
-        {"GammaRNG0": "rng-stats", "__memory_channel_0__": "ch0-stats"}
-    )
-
-
-class TestAliasSurface:
-    def test_getitem(self, stats_map):
-        assert stats_map[LEGACY_CHANNEL_KEY] == "ch0-stats"
-        assert stats_map[LEGACY_CHANNEL_KEY] is stats_map["__memory_channel_0__"]
-
-    def test_getitem_missing_channel_raises(self):
-        empty = _ProcessStatsMap({"GammaRNG0": "rng-stats"})
-        with pytest.raises(KeyError):
-            empty[LEGACY_CHANNEL_KEY]
-
-    def test_get(self, stats_map):
-        assert stats_map.get(LEGACY_CHANNEL_KEY) == "ch0-stats"
-        assert stats_map.get("__no_such_key__", "fallback") == "fallback"
-        no_channel = _ProcessStatsMap({"a": 1})
-        assert no_channel.get(LEGACY_CHANNEL_KEY, "fallback") == "fallback"
-
-    def test_contains(self, stats_map):
-        assert LEGACY_CHANNEL_KEY in stats_map
-        assert "__memory_channel_0__" in stats_map
-        assert LEGACY_CHANNEL_KEY not in _ProcessStatsMap({"a": 1})
-
-    def test_alias_not_stored(self, stats_map):
-        assert LEGACY_CHANNEL_KEY not in list(stats_map)
-        assert len(stats_map) == 2
-        # aggregations over values() count channel 0 exactly once
-        assert list(stats_map.values()).count("ch0-stats") == 1
-
-    def test_pop_alias_pops_canonical(self, stats_map):
-        assert stats_map.pop(LEGACY_CHANNEL_KEY) == "ch0-stats"
-        assert "__memory_channel_0__" not in stats_map
-        assert LEGACY_CHANNEL_KEY not in stats_map
-
-    def test_pop_alias_default(self):
-        empty = _ProcessStatsMap()
-        assert empty.pop(LEGACY_CHANNEL_KEY, "fallback") == "fallback"
-        with pytest.raises(KeyError):
-            empty.pop(LEGACY_CHANNEL_KEY)
-
-    def test_pop_ordinary_key(self, stats_map):
-        assert stats_map.pop("GammaRNG0") == "rng-stats"
-        with pytest.raises(KeyError):
-            stats_map.pop("GammaRNG0")
-
-    def test_setdefault_absent_stores_canonical(self):
-        m = _ProcessStatsMap()
-        assert m.setdefault(LEGACY_CHANNEL_KEY, "fresh") == "fresh"
-        assert list(m) == ["__memory_channel_0__"]
-        assert m[LEGACY_CHANNEL_KEY] == "fresh"
-
-    def test_setdefault_present_returns_channel_zero(self, stats_map):
-        assert (
-            stats_map.setdefault(LEGACY_CHANNEL_KEY, "ignored") == "ch0-stats"
-        )
-        assert len(stats_map) == 2  # nothing stored under the alias
-
-    def test_copy_is_alias_aware(self, stats_map):
-        clone = stats_map.copy()
-        assert isinstance(clone, _ProcessStatsMap)
-        assert clone[LEGACY_CHANNEL_KEY] == "ch0-stats"
-        assert clone == stats_map
-        clone.pop(LEGACY_CHANNEL_KEY)
-        assert stats_map[LEGACY_CHANNEL_KEY] == "ch0-stats"  # independent
-
-    def test_plain_dict_copy_counts_channel_once(self, stats_map):
-        plain = dict(stats_map)
-        assert LEGACY_CHANNEL_KEY not in plain
-        assert list(plain.values()).count("ch0-stats") == 1
+OLD_CHANNEL_KEY = "__memory_channel__"
 
 
 class TestSeedEraCallPatterns:
-    """The alias as real reports expose it, end to end."""
+    """Seed-era reads of channel stats, on real reports end to end."""
 
     def test_decoupled_kernel_report(self):
         report = DecoupledWorkItems(
@@ -102,19 +26,24 @@ class TestSeedEraCallPatterns:
             )
         ).run().report
         stats = report.process_stats
-        assert stats[LEGACY_CHANNEL_KEY] is stats["__memory_channel_0__"]
-        assert stats[LEGACY_CHANNEL_KEY].bursts > 0
-        assert LEGACY_CHANNEL_KEY in stats
+        assert stats["__memory_channel_0__"].bursts > 0
+        assert OLD_CHANNEL_KEY not in stats
+        with pytest.raises(KeyError):
+            stats[OLD_CHANNEL_KEY]
 
     def test_pipeline_report(self):
-        report = run_pricing_pipeline(PricingPipelineConfig()).report
-        stats = report.process_stats
-        assert stats[LEGACY_CHANNEL_KEY] is stats["__memory_channel_0__"]
+        result = run_pricing_pipeline(PricingPipelineConfig())
+        stats = result.report.process_stats
+        assert stats["__memory_channel_0__"] is result.build.channels[0].stats
+        assert OLD_CHANNEL_KEY not in stats
 
     def test_multi_channel_alias_is_channel_zero(self):
-        report = run_pricing_pipeline(
+        result = run_pricing_pipeline(
             PricingPipelineConfig(n_channels=2, channel_affinity=(0, 1))
-        ).report
-        stats = report.process_stats
-        assert stats[LEGACY_CHANNEL_KEY] is stats["__memory_channel_0__"]
-        assert stats[LEGACY_CHANNEL_KEY] is not stats["__memory_channel_1__"]
+        )
+        stats = result.report.process_stats
+        ch0, ch1 = (c.stats for c in result.build.channels)
+        assert stats["__memory_channel_0__"] is ch0
+        assert stats["__memory_channel_0__"] is not ch1
+        assert stats["__memory_channel_1__"] is ch1
+        assert OLD_CHANNEL_KEY not in stats

@@ -14,6 +14,7 @@ from repro.core import (
     WordPacker,
 )
 from repro.fixedpoint import FLOATS_PER_WORD
+from repro.obs.stall import COMPUTE, FIFO_FULL, PIPELINE
 
 
 class TestWordPacker:
@@ -61,8 +62,8 @@ def _run_engine(n_values, burst_words, sectors=1, channel_cfg=None, wid=0,
                 self.sink.write(float(self._i))
                 self._i += 1
                 self.remaining -= 1
-                return self._account(True)
-            return self._account(False)
+                return self._account(COMPUTE)
+            return self._account(FIFO_FULL)
 
     region.add(SeqSource("src", stream, n_values * sectors))
     engine = TransferEngine(
@@ -126,8 +127,8 @@ class TestTransferEngine:
             def tick(self, cycle):
                 if cycle % 3 == 0:
                     return super().tick(cycle)
-                self._account(False)
-                return True  # deliberately idle — time passing, not deadlock
+                # deliberately idle — time passing, not deadlock
+                return self._account(PIPELINE)
 
         memory = GlobalMemory(2)
         channel = MemoryChannel(cfg, memory)
@@ -201,7 +202,7 @@ class TestFastPathHints:
         engine.skip_cycles(cycle, span)
         channel.skip_cycles(cycle, span)
         assert engine._pending.done
-        assert engine.tick(event)  # grant bookkeeping = progress
+        assert engine.tick(event) == COMPUTE  # grant bookkeeping = progress
 
     def test_skip_matches_ticked_stall_accounting(self):
         ticked, t_stream, _ = self._engine()

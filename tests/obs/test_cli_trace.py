@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.__main__ import main, trace_report
-from repro.obs import NullTracer, get_tracer
+from repro.core.pricing import PricingPipelineConfig, run_pricing_pipeline
+from repro.obs import ChromeTracer, NullTracer, get_tracer, use_tracer
+from repro.obs.stall import reports_from_trace
 
 
 class TestTraceFlag:
@@ -43,6 +45,25 @@ class TestTraceReport:
         text = capsys.readouterr().out
         assert "stall attribution" in text
         assert "compute/transfer overlap" in text
+
+    def test_report_from_pipeline_trace(self, tmp_path, capsys):
+        """The pipelined run is attributed under the graph's name, apart
+        from the fused region and the sequential per-region runs, and
+        the trace rebuilds its live stall report."""
+        out = tmp_path / "trace.json"
+        assert main(["--trace", str(out), "pipeline"]) == 0
+        capsys.readouterr()
+        assert main(["trace-report", str(out)]) == 0
+        assert "stall attribution: pricing_pipeline" in capsys.readouterr().out
+        reports = {r.region: r for r in reports_from_trace(str(out))}
+        assert set(reports) == {
+            "pricing_pipeline", "pricing_fused", "rng", "pricing", "aggregation",
+        }
+        with use_tracer(ChromeTracer()):
+            live = run_pricing_pipeline(PricingPipelineConfig()).report
+        assert live.stall_report.consistent_with(live.process_stats) == []
+        assert reports["pricing_pipeline"].to_dict() == live.stall_report.to_dict()
+        assert reports["pricing_pipeline"].cycles == live.cycles
 
     def test_missing_file(self, capsys):
         assert trace_report("/nonexistent/trace.json") == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.decoupled import DecoupledConfig, DecoupledWorkItems
 from repro.core.kernel import GammaKernelConfig
+from repro.core.memory import BurstRequest, MemoryChannel
 from repro.core.schedule import trace_region
 from repro.obs import ChromeTracer, use_tracer
 from repro.obs.stall import (
@@ -36,13 +37,18 @@ def _run_traced(n_work_items=4, limit_main=64, stream_depth=2):
 
 class TestAttribution:
     def test_record_and_report(self):
+        """Drive the observer API by hand: ``a`` alternates compute and
+        FIFO-empty ticks while ``b`` waits on its burst, which drains
+        for the whole run."""
         att = StallAttribution("r")
+        channel = MemoryChannel()
+        observe = att.start(["a", "b"], [channel])
+        channel.submit(BurstRequest(owner="b", address=0, words=[0] * 8))
         for c in range(4):
-            att.record_cycle(
-                c,
-                {"a": COMPUTE if c % 2 == 0 else FIFO_EMPTY, "b": TRANSFER},
-                [True],
-            )
+            observe(0, c, COMPUTE if c % 2 == 0 else FIFO_EMPTY)
+            observe(1, c, MEMORY)
+            channel.tick(c)
+        att.finish(4, {})
         rep = att.report()
         assert rep.cycles == 4
         assert rep.per_process["a"] == {COMPUTE: 2, FIFO_EMPTY: 2}
