@@ -57,7 +57,7 @@ from repro.engine.resilience import (
     TimerThread,
     WorkerFault,
 )
-from repro.engine.stats import EngineStats, JobRecord, WorkerStats
+from repro.engine.stats import EngineStats, WorkerStats
 
 __all__ = [
     "Batch",
@@ -79,7 +79,6 @@ __all__ = [
     "JobHandle",
     "JobQueueClosed",
     "JobQueueFull",
-    "JobRecord",
     "JobResult",
     "ManualClock",
     "PortfolioJob",

@@ -54,7 +54,7 @@ from repro.engine.resilience import (
     RetryPolicy,
     TimerThread,
 )
-from repro.engine.stats import EngineStats, JobRecord, WorkerStats, summarize
+from repro.engine.stats import EngineStats
 from repro.obs import MetricsRegistry, get_tracer
 
 __all__ = ["ExecutionEngine", "JobFailed", "JobHandle", "serial_baseline"]
@@ -239,13 +239,9 @@ class ExecutionEngine:
         self.fault_plan = faults
         self.default_deadline_s = default_deadline_s
         self.tracer = tracer if tracer is not None else get_tracer()
-        # bounded histograms: an engine inside a serving tier observes
-        # latencies for as long as the tier lives, so the registry must
-        # not grow with job count (benchmarks that want exact
-        # percentiles read EngineStats records, not these)
-        self.metrics = MetricsRegistry(
-            prefix="engine.", bounded_histograms=True
-        )
+        # the only record of what happened: stats() reads it, so it
+        # must stay flat however long a serving tier keeps the engine
+        self.metrics = MetricsRegistry(prefix="engine.")
         self.queue = BoundedJobQueue(depth=queue_depth, name=f"{name}_admission")
         self.queue.attach_tracer(self.tracer)
         self.batcher = Batcher(
@@ -279,7 +275,6 @@ class ExecutionEngine:
             else None
         )
         self._handles: dict[int, JobHandle] = {}
-        self._records: list[JobRecord] = []
         # slowest-K latency exemplars: (total_s, job_id, trace_id,
         # worker, batch_id) min-heap, kept only for traced jobs so the
         # BENCH p99 rows carry debuggable trace ids
@@ -287,9 +282,6 @@ class ExecutionEngine:
         self._exemplar_k = 8
         self._trace_sampling: float | None = None
         self._state_lock = threading.Lock()
-        self._jobs_shed = 0
-        self._jobs_deadline_shed = 0
-        self._retries = 0
         self._admitted = 0
         self._resolved = 0
         self._attempts: dict[int, int] = {}  # job_id -> dispatch count
@@ -463,15 +455,11 @@ class ExecutionEngine:
                 )
             if isinstance(exc, SubmitTimeout) and job.expired():
                 # the deadline, not the submit timeout, was binding
-                with self._state_lock:
-                    self._jobs_deadline_shed += 1
                 self.metrics.counter("jobs_deadline_shed").inc()
                 raise JobDeadlineExceeded(
                     f"job {job.job_id} missed its {deadline_s:.3f}s "
                     "deadline while blocked in admission"
                 ) from exc
-            with self._state_lock:
-                self._jobs_shed += 1
             self.metrics.counter("jobs_shed").inc()
             raise
         with self._state_lock:
@@ -624,8 +612,6 @@ class ExecutionEngine:
             handle = self._handles.pop(job.job_id, None)
         if handle is None:
             return  # already resolved (or being resolved) elsewhere
-        with self._state_lock:
-            self._jobs_deadline_shed += 1
         self.metrics.counter("jobs_deadline_shed").inc()
         if self._jobs_track is not None:
             self.tracer.instant(
@@ -670,7 +656,6 @@ class ExecutionEngine:
             attempt = max(self._attempts.get(j.job_id, 1) for j in jobs) + 1
             for j in jobs:
                 self._attempts[j.job_id] = attempt
-            self._retries += len(jobs)
         self.metrics.counter("job_retries").inc(len(jobs))
         avoid = frozenset(outcome.batch.avoid | {outcome.worker})
         retry_batch = Batch(jobs=jobs, attempt=attempt, avoid=avoid)
@@ -776,7 +761,7 @@ class ExecutionEngine:
             if error is not None:
                 # terminal failure (exhausted retries or not retryable):
                 # resolve the handle but keep it out of the completion
-                # records — failed jobs are not throughput
+                # metrics — failed jobs are not throughput
                 self.metrics.counter("jobs_failed").inc()
                 self._finish(handle, None, error)
                 continue
@@ -794,21 +779,9 @@ class ExecutionEngine:
                 total_s=now - handle.submitted_at,
                 device_seconds=dev_s + overhead_share,
             )
-            with self._state_lock:
-                self._records.append(
-                    JobRecord(
-                        job_id=job.job_id,
-                        worker=outcome.worker,
-                        batch_id=outcome.batch.batch_id,
-                        batch_size=outcome.batch.size,
-                        queue_wait_s=queue_wait,
-                        service_s=outcome.service_wall_s,
-                        total_s=result.total_s,
-                        device_seconds=result.device_seconds,
-                    )
-                )
             self.metrics.counter("jobs_completed").inc()
             self.metrics.histogram("queue_wait_s").observe(queue_wait)
+            self.metrics.histogram("service_s").observe(outcome.service_wall_s)
             self.metrics.histogram("total_s").observe(result.total_s)
             if job.trace is not None:
                 # slowest-K exemplars make the BENCH p99 rows debuggable:
@@ -852,45 +825,14 @@ class ExecutionEngine:
     def stats(self) -> EngineStats:
         """Aggregate report over everything completed so far."""
         with self._state_lock:
-            records = list(self._records)
-            shed = self._jobs_shed
-            deadline_shed = self._jobs_deadline_shed
-            retries = self._retries
             exemplars = sorted(self._exemplars, reverse=True)
             trace_sampling = self._trace_sampling
-        batch_sizes: dict[int, int] = {}
-        for r in records:
-            batch_sizes[r.batch_id] = r.batch_size
         end = self._stopped_at or time.monotonic()
-        wall = end - self._started_at if self._started_at else 0.0
-        workers = [
-            WorkerStats(
-                name=w.name,
-                device=w.device_name,
-                jobs=w.jobs_done,
-                batches=w.batches_done,
-                device_busy_s=w.device_busy_s,
-            )
-            for w in self.pool.workers
-        ]
-        busy = [w.device_busy_s for w in workers]
-        return EngineStats(
-            jobs_completed=len(records),
-            jobs_shed=shed,
-            batches=len(batch_sizes),
-            mean_batch_occupancy=(
-                len(records) / len(batch_sizes) if batch_sizes else 0.0
-            ),
-            max_batch_occupancy=max(batch_sizes.values(), default=0),
-            queue_wait_s=summarize([r.queue_wait_s for r in records]),
-            service_s=summarize([r.service_s for r in records]),
-            total_s=summarize([r.total_s for r in records]),
-            wall_seconds=wall,
-            modeled_makespan_s=max(busy, default=0.0),
-            modeled_device_seconds=sum(busy),
+        return EngineStats.from_registry(
+            self.metrics,
+            self.pool.workers,
+            wall_seconds=end - self._started_at if self._started_at else 0.0,
             queue=self.queue.stats,
-            jobs_deadline_shed=deadline_shed,
-            retries=retries,
             breakers={
                 name: breaker.snapshot()
                 for name, breaker in self.pool.breakers.items()
@@ -900,8 +842,6 @@ class ExecutionEngine:
                 if self.fault_plan is not None
                 else {}
             ),
-            workers=workers,
-            records=records,
             latency_exemplars=[
                 {
                     "total_s": total_s,
@@ -923,12 +863,14 @@ def serial_baseline(
 ) -> EngineStats:
     """One-job-at-a-time execution on a single device, no batching.
 
-    The pre-engine host behaviour (build a session, run one enqueue to
-    completion, repeat) against which the engine's batching +
-    multi-device throughput is measured, on the same modeled timeline.
+    The pre-engine host behaviour (one enqueue run to completion, then
+    the next) against which the engine's batching + multi-device
+    throughput is measured, on the same modeled timeline.  Observes
+    into a fresh registry, so the report is built exactly as
+    :meth:`ExecutionEngine.stats` builds its own.
     """
     worker = DeviceWorker("serial", device_name=device, config=config)
-    records: list[JobRecord] = []
+    metrics = MetricsRegistry()
     t0 = time.monotonic()
     for job in jobs:
         submit = time.monotonic()
@@ -937,40 +879,15 @@ def serial_baseline(
             raise JobFailed(
                 f"job {job.job_id} failed: {outcome.errors[0]}"
             ) from outcome.errors[0]
-        records.append(
-            JobRecord(
-                job_id=job.job_id,
-                worker=worker.name,
-                batch_id=outcome.batch.batch_id,
-                batch_size=1,
-                queue_wait_s=0.0,
-                service_s=outcome.service_wall_s,
-                total_s=time.monotonic() - submit,
-                device_seconds=outcome.batch_device_seconds,
-            )
-        )
-    busy = worker.device_busy_s
-    return EngineStats(
-        jobs_completed=len(records),
-        jobs_shed=0,
-        batches=len(records),
-        mean_batch_occupancy=1.0 if records else 0.0,
-        max_batch_occupancy=1 if records else 0,
-        queue_wait_s=summarize([0.0] * len(records)),
-        service_s=summarize([r.service_s for r in records]),
-        total_s=summarize([r.total_s for r in records]),
+        metrics.counter("jobs_completed").inc()
+        metrics.counter("batches").inc()
+        metrics.histogram("batch_occupancy").observe(1)
+        metrics.histogram("queue_wait_s").observe(0.0)
+        metrics.histogram("service_s").observe(outcome.service_wall_s)
+        metrics.histogram("total_s").observe(time.monotonic() - submit)
+    return EngineStats.from_registry(
+        metrics,
+        [worker],
         wall_seconds=time.monotonic() - t0,
-        modeled_makespan_s=busy,
-        modeled_device_seconds=busy,
         queue=BoundedJobQueue(depth=1, name="serial_noqueue").stats,
-        workers=[
-            WorkerStats(
-                name=worker.name,
-                device=worker.device_name,
-                jobs=worker.jobs_done,
-                batches=worker.batches_done,
-                device_busy_s=busy,
-            )
-        ],
-        records=records,
     )

@@ -1,7 +1,7 @@
 """Device worker pool: N simulated accelerators behind one dispatcher.
 
-Each :class:`DeviceWorker` wraps one :class:`repro.harness.KernelSession`
-— its own OpenCL context, in-order command queue and device timing model
+Each :class:`DeviceWorker` models one device of the paper's platform —
+its own in-order device timeline and timing model
 (:class:`~repro.devices.FpgaModel` for FPGA workers,
 :class:`~repro.devices.FixedArchitectureModel` for CPU/GPU/PHI) — and
 runs on its own host thread, exactly the decoupled-work-item picture
@@ -39,9 +39,8 @@ from repro.engine.batcher import Batch
 from repro.engine.jobs import Job
 from repro.engine.resilience import CircuitBreaker, JobDeadlineExceeded
 from repro.harness.configs import CONFIGURATIONS, Configuration
-from repro.harness.session import KernelSession
 from repro.obs import get_tracer
-from repro.opencl import KernelHandle, MemFlag
+from repro.opencl import paper_platform
 
 __all__ = [
     "BatchOutcome",
@@ -82,17 +81,17 @@ class DeviceWorker:
         self.configuration = (
             CONFIGURATIONS[config] if isinstance(config, str) else config
         )
-        self.session = KernelSession(device_name, self.configuration)
+        self.device = paper_platform().device(device_name)
         if device_name == "FPGA":
             self.model: FpgaModel | FixedArchitectureModel = FpgaModel(
                 n_work_items=self.configuration.fpga_work_items
             )
         else:
-            self.model = FixedArchitectureModel(
-                self.session.context.platform.device(device_name)
-            )
+            self.model = FixedArchitectureModel(self.device)
         self.jobs_done = 0
         self.batches_done = 0
+        #: end of the last command on the modeled in-order device queue
+        self._timeline_s = 0.0
         self._timeline_lock = threading.Lock()
         #: explicit tracer override; None resolves the global tracer at
         #: execute() time (so `--trace` reaches pre-built workers too)
@@ -107,7 +106,7 @@ class DeviceWorker:
     def device_busy_s(self) -> float:
         """Simulated device-timeline occupancy so far."""
         with self._timeline_lock:
-            return self.session.queue.now
+            return self._timeline_s
 
     def estimate_batch_seconds(self, batch: Batch) -> float:
         """Modeled cost of a batch on *this* worker (dispatch heuristic)."""
@@ -163,31 +162,31 @@ class DeviceWorker:
                 payloads.append(None)
                 device_seconds.append(0.0)
                 errors.append(exc)
-        kernel_s = sum(device_seconds)
+        # one device transaction on the in-order queue: the kernel
+        # launch, then one combined readback (§III-E)
+        kernel_s = float(sum(device_seconds))
+        nbytes = max(4, -(-batch.result_bytes() // 4) * 4)
         with self._timeline_lock:
-            queue = self.session.queue
-            t0 = queue.now
-            first_event = len(queue.events)
-            kernel = KernelHandle(
-                name=f"batch{batch.batch_id}_{self.configuration.name}",
-                body=None,
-                time_model=lambda device, ndrange, **args: kernel_s,
-            )
-            queue.enqueue_task(kernel)
-            nbytes = max(4, -(-batch.result_bytes() // 4) * 4)
-            buffer = self.session.context.create_buffer(
-                f"batch{batch.batch_id}_result", nbytes, MemFlag.WRITE_ONLY
-            )
-            queue.enqueue_read_buffer(buffer)
-            batch_device_s = queue.finish() - t0
+            t0 = self._timeline_s
+            kernel_end = t0 + kernel_s
+            end = kernel_end + self.device.pcie_seconds(nbytes)
+            self._timeline_s = end
             if tracer.enabled:
-                # per-command spans of this batch on the modeled timeline
-                queue.export_trace(
-                    tracer,
-                    process="devices (modeled)",
-                    thread=f"{self.name} [{self.device_name}]",
-                    events=queue.events[first_event:],
+                # the two commands as spans on the modeled clock domain
+                track = tracer.track(
+                    "devices (modeled)", f"{self.name} [{self.device_name}]"
                 )
+                prefix = f"batch{batch.batch_id}"
+                spans = (
+                    (f"{prefix}_{self.configuration.name}", "task", t0, kernel_end),
+                    (f"{prefix}_result", "read_buffer", kernel_end, end),
+                )
+                for label, command, start, stop in spans:
+                    tracer.complete(
+                        track, label, ts_us=start * 1e6,
+                        dur_us=(stop - start) * 1e6, cat="modeled",
+                        args={"command": command},
+                    )
         self.jobs_done += batch.size
         self.batches_done += 1
         if tracer.enabled:
@@ -208,7 +207,7 @@ class DeviceWorker:
             payloads=payloads,
             errors=errors,
             device_seconds=device_seconds,
-            batch_device_seconds=batch_device_s,
+            batch_device_seconds=end - t0,
             service_wall_s=time.monotonic() - wall0,
         )
 

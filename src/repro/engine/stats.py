@@ -1,8 +1,11 @@
-"""Engine accounting: per-job latency records and the aggregate report.
+"""Engine accounting: the aggregate report of one engine run.
 
-Every completed job contributes one :class:`JobRecord` (queue wait,
-service, total latency, batch occupancy, worker, modeled device time);
-:class:`EngineStats` aggregates them together with the bounded queue's
+The engine's :class:`repro.obs.MetricsRegistry` is the only record of
+what happened: completions, sheds, retries and batches are its
+counters; queue wait, service and total latency and batch occupancy
+are its bucketed histograms, so memory and the cost of a report stay
+flat however long the engine serves.  :meth:`EngineStats.from_registry`
+reads that registry together with the bounded queue's
 :class:`repro.core.FifoStats` snapshot and each worker's simulated
 device timeline.  Throughput comes in two flavours:
 
@@ -17,25 +20,12 @@ device timeline.  Throughput comes in two flavours:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import Iterable
 
 from repro.core.stream import FifoStats
-from repro.obs.percentiles import summarize as _summarize
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["JobRecord", "WorkerStats", "EngineStats", "summarize"]
-
-
-@dataclass(frozen=True)
-class JobRecord:
-    """Latency/accounting record of one completed job."""
-
-    job_id: int
-    worker: str
-    batch_id: int
-    batch_size: int
-    queue_wait_s: float
-    service_s: float
-    total_s: float
-    device_seconds: float
+__all__ = ["WorkerStats", "EngineStats"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +48,9 @@ class EngineStats:
     batches: int
     mean_batch_occupancy: float
     max_batch_occupancy: int
-    queue_wait_s: dict[str, float]  # mean/p50/p95/p99/max over jobs
+    #: histogram snapshots over completed jobs: count/sum/mean/max are
+    #: exact, p50/p95/p99 bucket estimates (see repro.obs.Histogram)
+    queue_wait_s: dict[str, float]
     service_s: dict[str, float]
     total_s: dict[str, float]
     wall_seconds: float
@@ -70,7 +62,6 @@ class EngineStats:
     breakers: dict = field(default_factory=dict)  # worker -> breaker snapshot
     faults_injected: dict = field(default_factory=dict)  # mode -> count
     workers: list[WorkerStats] = field(default_factory=list)
-    records: list[JobRecord] = field(default_factory=list)
     #: slowest-K completed jobs with their trace ids (traced runs only):
     #: [{total_s, job_id, trace_id, worker, batch_id}], slowest first —
     #: the debuggable handle behind a BENCH p99 row
@@ -78,6 +69,54 @@ class EngineStats:
     #: head-sampling rate of the request log that produced the
     #: exemplars (None = request tracing was off)
     trace_sampling: float | None = None
+
+    @classmethod
+    def from_registry(
+        cls,
+        metrics: MetricsRegistry,
+        workers: Iterable,
+        wall_seconds: float,
+        queue: FifoStats,
+        **extra,
+    ) -> "EngineStats":
+        """The report an engine's ``metrics`` registry describes.
+
+        ``workers`` are the engine's
+        :class:`~repro.engine.pool.DeviceWorker` objects, whose modeled
+        timelines give the makespan; ``extra`` fills the remaining
+        optional fields (breakers, faults, exemplars).
+        """
+        count = metrics.counter
+        occupancy = metrics.histogram("batch_occupancy").snapshot()
+        worker_stats = [
+            WorkerStats(
+                name=w.name,
+                device=w.device_name,
+                jobs=w.jobs_done,
+                batches=w.batches_done,
+                device_busy_s=w.device_busy_s,
+            )
+            for w in workers
+        ]
+        busy = [w.device_busy_s for w in worker_stats]
+        return cls(
+            jobs_completed=count("jobs_completed").value,
+            jobs_shed=count("jobs_shed").value,
+            batches=count("batches").value,
+            mean_batch_occupancy=occupancy["mean"],
+            max_batch_occupancy=int(occupancy["max"]),
+            queue_wait_s=metrics.histogram("queue_wait_s").snapshot(),
+            service_s=metrics.histogram("service_s").snapshot(),
+            total_s=metrics.histogram("total_s").snapshot(),
+            wall_seconds=wall_seconds,
+            modeled_makespan_s=max(busy, default=0.0),
+            modeled_device_seconds=sum(busy),
+            queue=queue,
+            jobs_deadline_shed=count("jobs_deadline_shed").value,
+            retries=count("job_retries").value,
+            workers=worker_stats,
+            **extra,
+        )
 
     # -- derived ----------------------------------------------------------------
 
@@ -93,13 +132,9 @@ class EngineStats:
             return 0.0
         return self.jobs_completed / self.modeled_makespan_s
 
-    def to_dict(self, include_records: bool = False) -> dict:
-        """Plain-dict form for ``--json`` output and trace/metrics sinks.
-
-        Per-job records are omitted unless asked for — they dominate the
-        payload size and most consumers only want the aggregates.
-        """
-        out = {
+    def to_dict(self) -> dict:
+        """Plain-dict form for ``--json`` output and trace/metrics sinks."""
+        return {
             "jobs_completed": self.jobs_completed,
             "jobs_shed": self.jobs_shed,
             "batches": self.batches,
@@ -122,9 +157,6 @@ class EngineStats:
             "latency_exemplars": [dict(e) for e in self.latency_exemplars],
             "trace_sampling": self.trace_sampling,
         }
-        if include_records:
-            out["records"] = [asdict(r) for r in self.records]
-        return out
 
     def render(self) -> str:
         lines = [
@@ -174,14 +206,3 @@ class EngineStats:
             )
         return "\n".join(lines)
 
-
-def summarize(values: list[float]) -> dict[str, float]:
-    """mean/p50/p95/p99/max summary of a latency series (empty-safe).
-
-    Delegates to the shared interpolated-percentile estimator in
-    :mod:`repro.obs.percentiles`: ``p50`` is the true median (the old
-    upper-median index was biased high on even-length series) and
-    ``p95`` interpolates instead of rounding up to the maximum on short
-    series (``int(0.95 * n)`` hit the max for any ``n <= 20``).
-    """
-    return _summarize(values)

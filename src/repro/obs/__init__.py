@@ -3,9 +3,8 @@
 Three pieces, shared by the dataflow simulator and the execution
 engine:
 
-* :mod:`repro.obs.metrics` — counters / gauges / histograms under a
-  :class:`MetricsRegistry`, all summarized with the one shared
-  percentile estimator (:mod:`repro.obs.percentiles`);
+* :mod:`repro.obs.metrics` — counters / gauges / bounded-memory
+  bucketed histograms under a :class:`MetricsRegistry`;
 * :mod:`repro.obs.tracer` — span/event tracing with Chrome
   ``trace_event`` JSON export (:class:`ChromeTracer`), no-op by default
   (:class:`NullTracer`);
@@ -24,13 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.metrics import (
-    BoundedHistogram,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.percentiles import percentile, summarize
 from repro.obs.rtrace import (
     RequestTraceLog,
@@ -50,7 +43,6 @@ from repro.obs.stall import (
 from repro.obs.tracer import ChromeTracer, NullTracer, Tracer, Track
 
 __all__ = [
-    "BoundedHistogram",
     "Counter",
     "Gauge",
     "Histogram",

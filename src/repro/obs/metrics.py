@@ -6,10 +6,11 @@ a :class:`MetricsRegistry` owns them by name so a whole subsystem can be
 snapshotted into one plain dict for ``--json`` output or assertions.
 
 All primitives are thread-safe (the engine increments from worker and
-dispatcher threads) and cheap: an uncontended lock plus an add.  The
-histogram snapshot reuses :func:`repro.obs.percentiles.summarize`, the
-same estimator the engine's latency report uses, so a histogram's "p95"
-and ``EngineStats``'s "p95" are directly comparable.
+dispatcher threads) and cheap: an uncontended lock plus an add.  Memory
+is bounded too: a histogram keeps fixed buckets, not its observations,
+so a registry costs the same after a day of serving as after a second.
+``EngineStats`` is built from the engine's registry, so its latency
+summaries are these histogram snapshots.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ import threading
 from collections import deque
 from typing import Iterable
 
-from repro.obs.percentiles import summarize
-
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "BoundedHistogram",
     "MetricsRegistry",
 ]
 
@@ -81,59 +79,21 @@ class Gauge:
 
 
 class Histogram:
-    """Value series summarized with the shared percentile estimator."""
+    """Log-bucket histogram with O(buckets) memory.
 
-    def __init__(self, name: str):
-        self.name = name
-        self._values: list[float] = []
-        self._lock = threading.Lock()
+    A tier that serves for days observes latencies for as long as it
+    lives, so no histogram keeps its observations.  Fixed geometric
+    bucket boundaries (``growth`` ratio per bucket between ``lo`` and
+    ``hi``, plus under/overflow) hold the counts; ``count``/``sum``/
+    ``min``/``max`` are exact, and p50/p95/p99 interpolate inside the
+    bucket where the cumulative count crosses the rank.  With the
+    default quarter-octave growth (≈19%/bucket) a quantile of a dense
+    series is within about half a bucket width (≈9%) of the exact
+    :func:`repro.obs.percentiles.summarize` value; on a sparse series
+    the estimate stays inside the bucket of the sample it estimates.
 
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._values.append(float(value))
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        with self._lock:
-            self._values.extend(float(v) for v in values)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return len(self._values)
-
-    def values(self) -> list[float]:
-        with self._lock:
-            return list(self._values)
-
-    def snapshot(self) -> dict[str, float]:
-        """count + the shared mean/p50/p95/p99/max summary."""
-        with self._lock:
-            values = list(self._values)
-        out = {"sum": float(sum(values))}
-        out.update(summarize(values))
-        # both histogram backends expose count as a float sample
-        out["count"] = float(len(values))
-        return out
-
-
-class BoundedHistogram(Histogram):
-    """Log-bucket histogram with O(buckets) memory, for soak runs.
-
-    The exact :class:`Histogram` appends every observation forever —
-    fine for a bounded benchmark, a leak on a tier that serves for
-    days.  This backend keeps fixed geometric bucket boundaries
-    (``growth`` ratio per bucket between ``lo`` and ``hi``, plus
-    under/overflow), exact ``count``/``sum``/``min``/``max``, and
-    estimates p50/p95/p99 by interpolating inside the bucket where the
-    cumulative count crosses the rank.  With the default quarter-octave
-    growth (≈19%/bucket) the percentile estimate's relative error is
-    bounded by half a bucket width (≈9%), which is plenty for SLO
-    dashboards; benchmarks that assert on exact percentiles keep the
-    exact backend.
-
-    ``snapshot()`` returns the same keys as the exact histogram
-    (count/sum/mean/p50/p95/p99/max), so every consumer of a registry
-    snapshot works unchanged.
+    ``snapshot()`` returns count/sum/mean/p50/p95/p99/max — the keys of
+    :func:`repro.obs.percentiles.summarize`, plus ``sum``.
     """
 
     def __init__(
@@ -180,9 +140,13 @@ class BoundedHistogram(Histogram):
 
     def recent(self, n: int | None = None) -> list[float]:
         """The last ``n`` (default: all retained) raw observations."""
+        if n is not None and n < 0:
+            raise ValueError(f"recent() needs n >= 0, got {n}")
         with self._lock:
             values = list(self._recent)
-        return values if n is None else values[-n:]
+        if n is None:
+            return values
+        return values[-n:] if n else []  # values[-0:] is every value
 
     def observe_many(self, values: Iterable[float]) -> None:
         for v in values:
@@ -192,12 +156,6 @@ class BoundedHistogram(Histogram):
     def count(self) -> int:
         with self._lock:
             return self._count
-
-    def values(self) -> list[float]:
-        raise TypeError(
-            "BoundedHistogram keeps buckets, not raw values; use "
-            "snapshot() or buckets()"
-        )
 
     def buckets(self) -> list[tuple[float, int]]:
         """(upper edge, count) pairs for the non-empty buckets."""
@@ -256,31 +214,23 @@ class MetricsRegistry:
     instrumentation sites never coordinate: the first caller creates
     the metric, later callers share it.  Asking for an existing name
     with a different type raises.
-
-    ``bounded_histograms=True`` makes :meth:`histogram` default to the
-    :class:`BoundedHistogram` backend — what the long-running serve and
-    engine registries use so a soak run's memory stays flat; the
-    per-call ``bounded`` argument overrides either way, and the first
-    creator of a name decides its backend.
     """
 
-    def __init__(self, prefix: str = "", bounded_histograms: bool = False):
+    def __init__(self, prefix: str = ""):
         self.prefix = prefix
-        self.bounded_histograms = bounded_histograms
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
 
-    def _get(self, cls, name: str, base=None):
-        base = base or cls
+    def _get(self, cls, name: str):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
                 metric = cls(name)
                 self._metrics[name] = metric
-            elif not isinstance(metric, base):
+            elif not isinstance(metric, cls):
                 raise TypeError(
                     f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}, not {base.__name__}"
+                    f"{type(metric).__name__}, not {cls.__name__}"
                 )
             return metric
 
@@ -290,11 +240,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(Gauge, name)
 
-    def histogram(self, name: str, bounded: bool | None = None) -> Histogram:
-        if bounded is None:
-            bounded = self.bounded_histograms
-        cls = BoundedHistogram if bounded else Histogram
-        return self._get(cls, name, base=Histogram)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(Histogram, name)
 
     def names(self) -> list[str]:
         with self._lock:

@@ -1,9 +1,10 @@
 """Shared percentile mathematics for every latency/series summary.
 
-One implementation feeds the engine's :func:`repro.engine.stats.summarize`,
-the observability histograms (:class:`repro.obs.metrics.Histogram`) and
-the stall-attribution report, so "p95" means the same thing at every
-layer.  The estimator is the linear-interpolation quantile (numpy's
+One implementation summarizes every exact series — the virtual-clock
+tier model's latencies and the autoscaler's recent-wait tail — and is
+the reference the bucketed :class:`repro.obs.metrics.Histogram` is
+tested against, so "p95" means the same thing at every layer.  The
+estimator is the linear-interpolation quantile (numpy's
 default, type 7 in the Hyndman-Fan taxonomy): for ``q = 0.5`` it equals
 ``statistics.median`` on both odd and even lengths, and for small series
 it never collapses to the maximum the way the old nearest-above-rank

@@ -110,6 +110,10 @@ class Device:
         """Upper bound: one single-cycle op per PE per cycle."""
         return self.total_processing_elements * self.frequency_hz
 
+    def pcie_seconds(self, nbytes: int) -> float:
+        """Host-link time of one ``nbytes`` buffer transfer."""
+        return self.pcie_latency_s + nbytes / self.pcie_bandwidth_bps
+
 
 @dataclass(frozen=True)
 class Platform:

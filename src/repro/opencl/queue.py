@@ -161,10 +161,6 @@ class CommandQueue:
         self.events.append(event)
         return event
 
-    def _pcie_seconds(self, nbytes: int) -> float:
-        d = self.device
-        return d.pcie_latency_s + nbytes / d.pcie_bandwidth_bps
-
     # -- commands -------------------------------------------------------------------
 
     def enqueue_write_buffer(
@@ -179,7 +175,7 @@ class CommandQueue:
         buffer.store(offset_bytes, arr)
         event = Event(CommandType.WRITE_BUFFER, label=buffer.name)
         event.info["bytes"] = arr.nbytes
-        return self._issue(event, self._pcie_seconds(arr.nbytes), wait_for)
+        return self._issue(event, self.device.pcie_seconds(arr.nbytes), wait_for)
 
     def enqueue_read_buffer(
         self,
@@ -205,7 +201,7 @@ class CommandQueue:
         event = Event(CommandType.READ_BUFFER, label=buffer.name)
         event.info["bytes"] = nbytes
         event.info["data"] = words
-        return self._issue(event, self._pcie_seconds(nbytes), wait_for)
+        return self._issue(event, self.device.pcie_seconds(nbytes), wait_for)
 
     def enqueue_ndrange_kernel(
         self,

@@ -170,14 +170,7 @@ class Autoscaler:
         out: dict[str, ShardSignals] = {}
         for name, shard in tier.shards.items():
             occupancy = len(shard.queue) / shard.queue.depth
-            hist = shard.metrics.histogram("queue_wait_s")
-            # the engine's bounded backend keeps a recent-observation
-            # window instead of full history; either way the signal is
-            # the tail of the newest `window` waits
-            if hasattr(hist, "recent"):
-                waits = hist.recent(window)
-            else:
-                waits = hist.values()[-window:]
+            waits = shard.metrics.histogram("queue_wait_s").recent(window)
             out[name] = ShardSignals(
                 occupancy=occupancy,
                 # zero observations → None, not a fabricated 0.0 p99

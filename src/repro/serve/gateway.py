@@ -178,10 +178,7 @@ class AdmissionGateway:
         self.policies: dict = dict(policies or {})
         self.deadline_headroom = deadline_headroom
         self.estimate = ServiceEstimate(alpha=estimate_alpha)
-        # bounded histograms: the gateway outlives any single benchmark
-        self.metrics = MetricsRegistry(
-            prefix="gateway.", bounded_histograms=True
-        )
+        self.metrics = MetricsRegistry(prefix="gateway.")
         self._buckets: dict = {}
         self._buckets_lock = threading.Lock()
         #: per-tenant outcome counts for the telemetry poller, bounded:

@@ -245,9 +245,7 @@ class ShardedEngine:
             )
             for i, name in enumerate(names)
         }
-        self.metrics = MetricsRegistry(
-            prefix="tier.", bounded_histograms=True
-        )
+        self.metrics = MetricsRegistry(prefix="tier.")
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------------

@@ -10,7 +10,7 @@ per-tenant rates over the polling window plus tier-wide SLO aggregates
 histograms).  Records land in a bounded history ring, so a telemetry
 thread left running for days holds constant memory, the same retention
 contract as :class:`repro.obs.RequestTraceLog` and
-:class:`repro.obs.BoundedHistogram`.
+:class:`repro.obs.Histogram`.
 
 ``now`` is injectable everywhere (the virtual-time test convention this
 repo uses), and the optional background thread is just a loop around

@@ -141,3 +141,50 @@ class TestDeviceWorker:
         worker = DeviceWorker("cpu0", device_name="CPU")
         outcome = worker.execute(Batch(jobs=[_job(n=128)]))
         assert outcome.batch_device_seconds > 0
+
+    def test_unknown_device_name_raises(self):
+        with pytest.raises(KeyError):
+            DeviceWorker("x0", device_name="TPU")
+
+    def test_modeled_timeline_matches_the_in_order_queue(self):
+        """Each batch is one kernel launch plus one combined readback on
+        the device's in-order queue: the worker's float timeline, batch
+        times and modeled spans equal the OpenCL queue's, bit for bit."""
+        from repro.obs import ChromeTracer
+        from repro.opencl import Context, KernelHandle, MemFlag, paper_platform
+
+        tracer = ChromeTracer()
+        worker = DeviceWorker("w0")
+        worker.tracer = tracer
+        queue = Context(paper_platform(), "FPGA").create_queue()
+        reference = ChromeTracer()
+        batches = [[64], [256, 128], [32, 32, 32], [1000]]
+        for k, samples in enumerate(batches):
+            batch = Batch(jobs=[_job(10 * k + i, n=n) for i, n in enumerate(samples)])
+            outcome = worker.execute(batch)
+            kernel_s = sum(outcome.device_seconds)
+            nbytes = batch.result_bytes()
+            assert outcome.batch_device_seconds == pytest.approx(
+                kernel_s + worker.device.pcie_seconds(nbytes)
+            )
+            t0 = queue.now
+            first = len(queue.events)
+            queue.enqueue_task(
+                KernelHandle(
+                    name=f"batch{batch.batch_id}_Config1",
+                    time_model=lambda device, ndrange: kernel_s,
+                )
+            )
+            queue.enqueue_read_buffer(
+                queue.context.create_buffer(
+                    f"batch{batch.batch_id}_result", nbytes, MemFlag.WRITE_ONLY
+                )
+            )
+            assert outcome.batch_device_seconds == queue.finish() - t0
+            queue.export_trace(
+                reference, thread="w0 [FPGA]", events=queue.events[first:]
+            )
+        assert worker.device_busy_s == queue.now
+        modeled = [e for e in tracer.events() if e.get("cat") == "modeled"]
+        assert len(modeled) == 2 * len(batches)
+        assert modeled == [e for e in reference.events() if e.get("cat") == "modeled"]

@@ -5,13 +5,8 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    BoundedHistogram,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.percentiles import summarize
 
 
 class TestCounter:
@@ -65,8 +60,10 @@ class TestHistogram:
 
 
 class TestBoundedHistogram:
+    """The bucketed backend: flat memory, exact moments, estimated tails."""
+
     def test_count_sum_min_max_are_exact(self):
-        h = BoundedHistogram("latency")
+        h = Histogram("latency")
         values = [0.001, 0.5, 2.0, 0.003, 7.5]
         h.observe_many(values)
         snap = h.snapshot()
@@ -77,22 +74,20 @@ class TestBoundedHistogram:
 
     def test_quantiles_within_the_bucket_error_bound(self):
         # quarter-octave buckets bound the relative error at ~half a
-        # bucket width; check against the exact backend on a skewed
-        # latency-like distribution
+        # bucket width; check against the exact reference estimator on
+        # a skewed latency-like distribution
         rng = random.Random(7)
         values = [rng.lognormvariate(-5.0, 1.2) for _ in range(20_000)]
-        exact = Histogram("e")
-        bounded = BoundedHistogram("b")
-        exact.observe_many(values)
+        bounded = Histogram("b")
         bounded.observe_many(values)
-        es, bs = exact.snapshot(), bounded.snapshot()
+        es, bs = summarize(values), bounded.snapshot()
         for q in ("p50", "p95", "p99"):
             assert bs[q] == pytest.approx(es[q], rel=0.10), q
 
     def test_memory_stays_flat_on_a_soak(self):
-        # the exact histogram holds every observation; the bounded one
-        # must hold only its fixed bucket array no matter the volume
-        h = BoundedHistogram("soak")
+        # the histogram must hold only its fixed bucket array (and the
+        # bounded recent window) no matter the volume
+        h = Histogram("soak")
         baseline_buckets = len(h._counts)
         rng = random.Random(3)
         for _ in range(100_000):
@@ -100,9 +95,10 @@ class TestBoundedHistogram:
         assert len(h._counts) == baseline_buckets
         assert h.count == 100_000
         assert len(h.buckets()) <= baseline_buckets
+        assert len(h.recent()) == 512
 
     def test_under_and_overflow_observations_kept(self):
-        h = BoundedHistogram("x", lo=1e-3, hi=1e3)
+        h = Histogram("x", lo=1e-3, hi=1e3)
         h.observe(0.0)       # underflow bucket
         h.observe(-1.0)      # negative → underflow
         h.observe(1e6)       # overflow bucket
@@ -113,21 +109,32 @@ class TestBoundedHistogram:
         assert -1.0 <= snap["p50"] <= 1e6
 
     def test_empty_snapshot(self):
-        snap = BoundedHistogram("empty").snapshot()
+        snap = Histogram("empty").snapshot()
         assert snap["count"] == 0.0
         assert snap["p99"] == 0.0
 
     def test_raw_values_are_gone(self):
-        h = BoundedHistogram("x")
+        h = Histogram("x")
         h.observe(1.0)
-        with pytest.raises(TypeError):
-            h.values()
+        assert not hasattr(h, "values")
+        assert not hasattr(h, "_values")
+
+    def test_recent_window(self):
+        h = Histogram("x", recent_window=4)
+        h.observe_many([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert h.recent() == [2.0, 3.0, 4.0, 5.0]
+        assert h.recent(2) == [4.0, 5.0]
+        assert h.recent(10) == [2.0, 3.0, 4.0, 5.0]
+        # n == 0 is an empty window, not the whole one (values[-0:])
+        assert h.recent(0) == []
+        with pytest.raises(ValueError):
+            h.recent(-1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            BoundedHistogram("x", lo=0.0)
+            Histogram("x", lo=0.0)
         with pytest.raises(ValueError):
-            BoundedHistogram("x", growth=1.0)
+            Histogram("x", growth=1.0)
 
 
 class TestMetricsRegistry:
@@ -153,31 +160,11 @@ class TestMetricsRegistry:
         assert snap["engine.wait"]["count"] == 1.0
         assert reg.names() == ["inflight", "jobs", "wait"]
 
-    def test_bounded_backend_selection(self):
-        reg = MetricsRegistry(bounded_histograms=True)
-        assert isinstance(reg.histogram("h"), BoundedHistogram)
-        # per-call override beats the registry default
-        assert not isinstance(
-            reg.histogram("exact", bounded=False), BoundedHistogram
-        )
-        exact_reg = MetricsRegistry()
-        assert not isinstance(exact_reg.histogram("h"), BoundedHistogram)
-        assert isinstance(
-            exact_reg.histogram("b", bounded=True), BoundedHistogram
-        )
-
-    def test_first_creator_decides_the_backend(self):
-        reg = MetricsRegistry()
-        first = reg.histogram("h", bounded=True)
-        # later callers share the instance regardless of their flag
-        assert reg.histogram("h") is first
-        assert reg.histogram("h", bounded=False) is first
-
     def test_expose_text_format(self):
         reg = MetricsRegistry(prefix="engine.")
         reg.counter("jobs").inc(3)
         reg.gauge("inflight").set(2.0)
-        reg.histogram("wait", bounded=True).observe_many([0.1, 0.2, 0.3])
+        reg.histogram("wait").observe_many([0.1, 0.2, 0.3])
         text = reg.expose_text()
         lines = text.splitlines()
         assert "# TYPE engine_jobs counter" in lines
@@ -203,12 +190,14 @@ class TestMetricsRegistry:
 
         tier = ShardedEngine(n_shards=1, n_workers=1)
         gateway = AdmissionGateway(tier)
-        assert gateway.metrics.bounded_histograms
-        assert tier.metrics.bounded_histograms
         engine = ExecutionEngine(n_workers=1)
-        assert isinstance(
-            engine.metrics.histogram("queue_wait_s"), BoundedHistogram
-        )
+        for hist in (
+            gateway.metrics.histogram("latency_s"),
+            tier.metrics.histogram("latency_s"),
+            engine.metrics.histogram("queue_wait_s"),
+        ):
+            assert type(hist) is Histogram
+            assert hasattr(hist, "buckets")
 
     def test_engine_populates_metrics(self):
         """The execution engine feeds its registry during a run."""

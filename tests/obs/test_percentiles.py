@@ -73,23 +73,26 @@ class TestSummarize:
         assert out["p99"] == pytest.approx(99.01)
 
     def test_engine_summarize_delegates(self):
-        """The engine's summarize is the shared estimator (the p50
-        upper-median bias and p95-hits-max bug of the old index math)."""
-        from repro.engine.stats import summarize as engine_summarize
-
+        """The shared estimator fixes the p50 upper-median bias and the
+        p95-hits-max bug of the old index math."""
         values = [1.0, 2.0, 3.0, 4.0]
-        out = engine_summarize(values)
+        out = summarize(values)
         assert out["p50"] == 2.5  # old code returned 3.0 (upper median)
         assert out["p95"] < 4.0  # old code returned the max
-        assert engine_summarize([]) == summarize([])
 
     def test_histogram_snapshot_uses_same_estimator(self):
+        """Bucketed snapshot: exact count/mean/max, quantiles within
+        half a quarter-octave bucket of the shared estimator on a dense
+        series (a bucket cannot interpolate between sparse samples)."""
         from repro.obs.metrics import Histogram
 
+        values = [float(i) for i in range(1, 1001)]
         h = Histogram("lat")
-        h.observe_many([1.0, 2.0, 3.0, 4.0])
-        snap = h.snapshot()
-        assert snap["p50"] == 2.5
-        assert snap["p95"] == pytest.approx(3.85)
-        assert snap["p99"] == pytest.approx(3.97)
-        assert snap["count"] == 4.0
+        h.observe_many(values)
+        snap, ref = h.snapshot(), summarize(values)
+        assert snap["count"] == 1000.0
+        assert snap["mean"] == ref["mean"] == 500.5
+        assert snap["max"] == ref["max"] == 1000.0
+        half_bucket = 2.0 ** 0.125 - 1.0  # ~9% relative
+        for q in ("p50", "p95", "p99"):
+            assert snap[q] == pytest.approx(ref[q], rel=half_bucket), q

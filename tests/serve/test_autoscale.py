@@ -134,6 +134,17 @@ class TestIdleSignalHonesty:
         # nothing was ever enqueued: no evidence, not "perfectly fast"
         assert signals["shard0"].wait_p99_s is None
 
+    def test_zero_window_reads_no_waits(self):
+        from repro.engine.jobs import GammaJob
+
+        scaler = Autoscaler()
+        with ShardedEngine(n_shards=1, n_workers=1) as tier:
+            for h in [tier.submit(GammaJob(n_samples=16, seed=i)) for i in range(4)]:
+                h.result(30.0)
+            assert scaler.read_signals(tier)["shard0"].wait_p99_s is not None
+            # an empty window is no evidence, not the whole history
+            assert scaler.read_signals(tier, window=0)["shard0"].wait_p99_s is None
+
     def test_none_tail_never_reads_hot(self):
         scaler = Autoscaler(
             AutoscalePolicy(
