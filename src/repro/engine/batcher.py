@@ -6,18 +6,15 @@ latter.  The batcher applies the same economics one level up: jobs whose
 :meth:`~repro.engine.jobs.Job.batch_key` match are drained from the
 bounded queue together and dispatched as *one* device transaction — one
 kernel enqueue, one readback — so the per-request fixed costs (kernel
-launch, PCIe latency) amortize across the batch.
-
-An optional *linger* keeps the batcher waiting briefly for more
-compatible work when the queue runs dry, trading a bounded latency add
-for better occupancy — the knob every serving system exposes.
+launch, PCIe latency) amortize across the batch.  Which jobs coalesce
+is :func:`repro.engine.queue.take_batch`'s rule; jobs whose deadline
+passed while queued are shed there without taking a batch slot.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
@@ -78,31 +75,23 @@ class Batcher:
     max_batch:
         Occupancy ceiling per batch; 1 disables coalescing (the serial
         one-job-per-transaction baseline).
-    linger_s:
-        After a partial drain, wait up to this long for more compatible
-        jobs before dispatching (0 disables lingering).  A lingering
-        batch never waits past the earliest deadline of the jobs it
-        already holds.
     on_expired:
-        Called (from the dispatcher thread) with each job whose
-        deadline passed while it waited in the queue; expired jobs are
-        shed here instead of occupying a batch slot and device time.
+        Called (from the dispatcher thread, outside the queue lock) with
+        each job whose deadline passed while it waited in the queue;
+        expired jobs are shed instead of occupying a batch slot and
+        device time.
     """
 
     def __init__(
         self,
         queue: BoundedJobQueue,
         max_batch: int = 8,
-        linger_s: float = 0.0,
         on_expired: Callable[[Job], None] | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if linger_s < 0:
-            raise ValueError("linger_s must be >= 0")
         self.queue = queue
         self.max_batch = max_batch
-        self.linger_s = linger_s
         self.on_expired = on_expired
         self.tracer = None
         self._track = None
@@ -114,18 +103,6 @@ class Batcher:
         self.tracer = tracer
         self._track = tracer.track(process, thread) if tracer.enabled else None
 
-    def _drop_expired(self, jobs: list[Job]) -> list[Job]:
-        """Shed deadline-expired jobs; return the still-live ones."""
-        now = time.monotonic()
-        live = []
-        for job in jobs:
-            if job.expired(now):
-                if self.on_expired is not None:
-                    self.on_expired(job)
-            else:
-                live.append(job)
-        return live
-
     def next_batch(self, timeout: float | None = 0.1) -> Batch | None:
         """The next coalesced batch, or None when nothing is available.
 
@@ -135,32 +112,12 @@ class Batcher:
         already expired (the jobs are shed via ``on_expired`` rather
         than occupying batch slots).
         """
-        jobs = self.queue.get_batch(self.max_batch, timeout=timeout)
+        jobs, expired = self.queue.get_batch(self.max_batch, timeout=timeout)
+        if self.on_expired is not None:
+            for job in expired:
+                self.on_expired(job)
         if not jobs:
             return None
-        jobs = self._drop_expired(jobs)
-        if not jobs:
-            return None
-        if self.linger_s > 0 and len(jobs) < self.max_batch:
-            key = jobs[0].batch_key()
-            deadline = time.monotonic() + self.linger_s
-            # lingering must not push the jobs already on board past
-            # their own deadlines
-            job_deadlines = [
-                j.deadline_at for j in jobs if j.deadline_at is not None
-            ]
-            if job_deadlines:
-                deadline = min(deadline, min(job_deadlines))
-            while len(jobs) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                more = self.queue.get_matching(
-                    key, self.max_batch - len(jobs), timeout=remaining
-                )
-                if not more:
-                    break
-                jobs.extend(self._drop_expired(more))
         batch = Batch(jobs=jobs)
         if self._track is not None:
             self.tracer.instant(

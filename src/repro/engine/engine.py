@@ -153,8 +153,6 @@ class ExecutionEngine:
         :class:`JobQueueFull` immediately).
     submit_timeout_s:
         Under "block": raise :class:`SubmitTimeout` after this long.
-    batch_linger_s:
-        Batcher linger window for topping up partial batches.
     workers:
         Pre-built heterogeneous workers, overriding ``n_workers``.
     tracer:
@@ -199,7 +197,6 @@ class ExecutionEngine:
         policy: str | SchedulingPolicy = "fifo",
         admission: str = "block",
         submit_timeout_s: float | None = None,
-        batch_linger_s: float = 0.0,
         workers: Sequence[DeviceWorker] | None = None,
         tracer=None,
         retry: RetryPolicy | None = None,
@@ -245,10 +242,7 @@ class ExecutionEngine:
         self.queue = BoundedJobQueue(depth=queue_depth, name=f"{name}_admission")
         self.queue.attach_tracer(self.tracer)
         self.batcher = Batcher(
-            self.queue,
-            max_batch=max_batch,
-            linger_s=batch_linger_s,
-            on_expired=self._expire_job,
+            self.queue, max_batch=max_batch, on_expired=self._expire_job
         )
         self.batcher.attach_tracer(self.tracer)
         breaker_map = self._build_breakers(list(workers), breakers, breaker_config)
@@ -533,9 +527,13 @@ class ExecutionEngine:
             self.drain(timeout)
         else:
             while True:
-                abandoned = self.queue.get_batch(max_size=1 << 30, timeout=0.0)
-                if not abandoned:
+                abandoned, expired = self.queue.get_batch(
+                    max_size=1 << 30, timeout=0.0
+                )
+                if not abandoned and not expired:
                     break
+                for job in expired:
+                    self._expire_job(job)
                 for job in abandoned:
                     with self._state_lock:
                         handle = self._handles.pop(job.job_id, None)

@@ -58,8 +58,8 @@ class Job:
     ``deadline_s`` is the job's end-to-end latency budget, measured
     from admission: once it elapses the job is shed with the typed
     :class:`repro.engine.resilience.JobDeadlineExceeded` wherever it
-    happens to be — waiting in the queue, lingering in a partial batch,
-    or dispatched to a wedged worker — instead of occupying capacity.
+    happens to be — waiting in the queue, at batch formation, or
+    dispatched to a wedged worker — instead of occupying capacity.
     ``None`` (the default) means no deadline.  The engine stamps the
     absolute ``deadline_at`` (monotonic seconds) at admission; every
     later stage compares against that single value, so the budget never

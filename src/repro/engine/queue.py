@@ -9,6 +9,11 @@ serving-layer policy a load balancer needs), and the accounting — high
 water, stall tallies — lands in the same :class:`repro.core.FifoStats`
 dataclass the hardware streams report, so FIFO depth sizing analysis
 works identically at both layers.
+
+The consumer side pops one coalesced batch at a time through
+:func:`take_batch`, the one batch-formation rule: the virtual tier in
+:mod:`repro.serve.loadgen` runs it on its own deques, so both tiers
+coalesce and shed expired jobs identically.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "JobQueueClosed",
     "JobQueueFull",
     "SubmitTimeout",
+    "take_batch",
 ]
 
 
@@ -186,8 +192,8 @@ class BoundedJobQueue:
 
         Both conditions are notified so that producers blocked in
         :meth:`put` raise :class:`JobQueueClosed` promptly and
-        consumers blocked in :meth:`get_batch`/:meth:`get_matching`
-        return immediately — nobody hangs until their timeout.
+        consumers blocked in :meth:`get_batch` return immediately —
+        nobody hangs until their timeout.
         """
         with self._lock:
             self._closed = True
@@ -200,25 +206,21 @@ class BoundedJobQueue:
         self,
         max_size: int = 1,
         timeout: float | None = None,
-    ) -> list[Job]:
-        """Pop a batch of *compatible* jobs (equal :meth:`Job.batch_key`).
+    ) -> tuple[list[Job], list[Job]]:
+        """Pop ``(batch, expired)``: :func:`take_batch` at the current time.
 
-        Takes the head job, then coalesces up to ``max_size - 1`` more
-        jobs with the same key, scanning in FIFO order — the serving
-        analogue of §III-E device-level buffer combining: compatible
-        requests merge into one device transaction.  Jobs with other
-        keys keep their relative order.
-
-        Returns ``[]`` once the queue is closed and drained, or when
-        ``timeout`` elapses with nothing available (an empty poll is
-        tallied as a read stall, mirroring ``Stream.can_read``).
+        The rule runs under the queue lock with ``time.monotonic()``.
+        Returns ``([], [])`` once the queue is closed and drained, or
+        when ``timeout`` elapses with nothing available (an empty poll
+        is tallied as a read stall, mirroring ``Stream.can_read``).
+        Expired jobs count as reads: they left the queue.
         """
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
         with self._not_empty:
             if not self._fifo:
                 if self._closed:
-                    return []
+                    return [], []
                 self.read_stalls += 1
                 # monotonic deadline (the same pattern as put): each
                 # spurious or irrelevant wakeup resumes the *remaining*
@@ -233,77 +235,48 @@ class BoundedJobQueue:
                         None if deadline is None else deadline - time.monotonic()
                     )
                     if remaining is not None and remaining <= 0:
-                        return []
+                        return [], []
                     self._not_empty.wait(remaining)
                 if not self._fifo:
-                    return []
-            head = self._fifo.popleft()
-            batch = [head]
-            if max_size > 1:
-                key: Hashable = head.batch_key()
-                keep: deque[Job] = deque()
-                while self._fifo and len(batch) < max_size:
-                    job = self._fifo.popleft()
-                    if job.batch_key() == key:
-                        batch.append(job)
-                    else:
-                        keep.append(job)
-                keep.extend(self._fifo)
-                self._fifo = keep
-            self.total_reads += len(batch)
+                    return [], []
+            batch, expired = take_batch(self._fifo, max_size, time.monotonic())
+            self.total_reads += len(batch) + len(expired)
             self._emit_occupancy()
             self._not_full.notify_all()
-            return batch
+            return batch, expired
 
-    def get_matching(
-        self,
-        key: Hashable,
-        max_size: int,
-        timeout: float | None = None,
-    ) -> list[Job]:
-        """Pop up to ``max_size`` jobs whose batch key equals ``key``.
 
-        Unlike :meth:`get_batch` this never disturbs non-matching jobs
-        (the head included) — it is the linger path: top up an open
-        batch with late-arriving compatible work.  Returns ``[]`` when
-        nothing compatible shows up within ``timeout``.
-        """
-        if max_size < 1:
-            raise ValueError("max_size must be >= 1")
-        with self._not_empty:
-            matched = self._take_matching(key, max_size)
-            if not matched and not self._closed:
-                self.read_stalls += 1
-                # monotonic-deadline retry loop: wakeups for
-                # non-matching jobs (or spurious ones) resume the
-                # remaining wait rather than restarting the timeout or
-                # giving up early with a premature empty result
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                while not matched and not self._closed:
-                    remaining = (
-                        None if deadline is None else deadline - time.monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        break
-                    self._not_empty.wait(remaining)
-                    matched = self._take_matching(key, max_size)
-            if matched:
-                self.total_reads += len(matched)
-                self._emit_occupancy()
-                self._not_full.notify_all()
-            return matched
+def take_batch(fifo: deque, max_size: int, now: float) -> tuple[list, list]:
+    """Pop one coalesced batch off ``fifo``; return ``(batch, expired)``.
 
-    def _take_matching(self, key: Hashable, max_size: int) -> list[Job]:
-        matched: list[Job] = []
-        keep: deque[Job] = deque()
-        while self._fifo and len(matched) < max_size:
-            job = self._fifo.popleft()
-            if job.batch_key() == key:
-                matched.append(job)
-            else:
-                keep.append(job)
-        keep.extend(self._fifo)
-        self._fifo = keep
-        return matched
+    The serving analogue of §III-E buffer combining, shared by the live
+    queue and the virtual tier: the first unexpired job at the head
+    fixes the batch key, and later waiters with that key join in FIFO
+    order up to ``max_size``.  A head or joining job whose deadline has
+    passed at ``now`` goes to ``expired`` instead of taking a slot.
+    Every other job keeps its place and order in ``fifo``.  Jobs need
+    ``batch_key()`` and ``expired(now)``.
+    """
+    batch: list = []
+    expired: list = []
+    while fifo:
+        head = fifo.popleft()
+        if head.expired(now):
+            expired.append(head)
+        else:
+            batch.append(head)
+            break
+    if not batch:
+        return batch, expired
+    key: Hashable = batch[0].batch_key()
+    kept: list = []
+    while fifo and len(batch) < max_size:
+        job = fifo.popleft()
+        if job.batch_key() != key:
+            kept.append(job)
+        elif job.expired(now):
+            expired.append(job)
+        else:
+            batch.append(job)
+    fifo.extendleft(reversed(kept))
+    return batch, expired

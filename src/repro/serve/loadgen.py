@@ -9,15 +9,16 @@ Two halves, sharing one trace format:
   through JSON, so a latency regression seen in CI can be replayed
   locally from the committed spec.
 * :func:`simulate_tier` runs a trace through a **virtual-time model**
-  of the sharded tier: the *same* policy objects the live tier uses
-  (the consistent-hash ring for shard assignment, the token-bucket
-  admission contract) plus an event-driven G/G/c-with-batching queue
-  per shard, all clocked by the trace's arrival timestamps instead of
-  the host.  Latency percentiles, shed rates and throughput out of the
-  simulator are pure functions of ``(trace, tier spec)`` — the property
-  that lets ``BENCH_serving.json`` be byte-reproducible, exactly like
-  the engine's modeled-device-timeline throughput is immune to host
-  scheduling noise.
+  of the sharded tier: the *same* policy code the live tier runs (the
+  consistent-hash ring for shard assignment, the token-bucket
+  admission contract, :func:`~repro.engine.queue.take_batch` batch
+  formation and deadline shedding, the ``unit_draw`` fault draw) plus
+  an event-driven G/G/c queue per shard, all clocked by the trace's
+  arrival timestamps instead of the host.  Latency percentiles, shed
+  rates and throughput out of the simulator are pure functions of
+  ``(trace, tier spec)`` — the property that lets ``BENCH_serving.json``
+  be byte-reproducible, exactly like the engine's modeled-device-timeline
+  throughput is immune to host scheduling noise.
 
 :func:`replay_trace` is the wall-clock counterpart: it plays a trace
 through a live :class:`~repro.serve.gateway.AdmissionGateway` (asyncio,
@@ -37,14 +38,14 @@ import numpy as np
 
 from repro.devices import FpgaModel
 from repro.engine.jobs import GammaJob
-from repro.engine.queue import JobQueueFull
-from repro.engine.resilience import JobDeadlineExceeded
+from repro.engine.queue import JobQueueFull, take_batch
+from repro.engine.resilience import JobDeadlineExceeded, unit_draw
 from repro.harness.configs import CONFIGURATIONS
 from repro.obs import get_request_log
 from repro.obs.percentiles import summarize
 from repro.obs.rtrace import derive_trace_id
 from repro.serve.gateway import TenantPolicy, TenantThrottled, TokenBucket
-from repro.serve.sharding import ShardRing, stable_hash
+from repro.serve.sharding import ShardRing
 
 __all__ = [
     "WorkloadSpec",
@@ -123,6 +124,10 @@ class TraceEvent:
     def batch_key(self):
         """Mirror of :meth:`GammaJob.batch_key` — used for routing."""
         return ("gamma", self.config, self.variance)
+
+    def expired(self, now: float) -> bool:
+        """Mirror of :meth:`Job.expired` on the trace's virtual clock."""
+        return self.deadline_s is not None and now >= self.t + self.deadline_s
 
 
 def generate_trace(spec: WorkloadSpec) -> list[TraceEvent]:
@@ -206,8 +211,6 @@ class TierSpec:
     #: across coalesced jobs
     batch_overhead_s: float = 0.002
     tenant_policy: TenantPolicy = field(default_factory=TenantPolicy)
-    ring_replicas: int = 64
-    ring_seed: int = 0
     #: extra ring hops a queue-full shard may spill to (0 = primary
     #: only, the pre-spillover behaviour); mirrors
     #: :class:`~repro.serve.sharding.ShardedEngine`'s ``spill``
@@ -235,10 +238,7 @@ class VirtualChaos:
     def batch_fails(self, shard: str, batch_seq: int, attempt: int) -> bool:
         if self.fail_rate <= 0.0:
             return False
-        draw = (
-            stable_hash(("chaos", shard, batch_seq, attempt), self.seed)
-            / 2.0**64
-        )
+        draw = unit_draw(self.seed, ("chaos", shard, batch_seq, attempt))
         return draw < self.fail_rate
 
 
@@ -328,8 +328,8 @@ class _Shard:
         """Dispatch every batch that starts strictly before ``until``.
 
         Batches later than ``until`` wait: arrivals up to ``until`` may
-        still coalesce into them (the batcher's linger, in virtual
-        time).
+        still coalesce into them, as late arrivals join the live queue
+        before the batcher pops it.
         """
         while self.waiting:
             free_at, worker = self.free[0]
@@ -337,7 +337,11 @@ class _Shard:
             if start >= until:
                 return
             heapq.heappop(self.free)
-            batch = self._form_batch(start)
+            batch, expired = take_batch(
+                self.waiting, self.spec.max_batch, start
+            )
+            for e in expired:
+                self._shed_deadline(e, start)
             if not batch:
                 heapq.heappush(self.free, (free_at, worker))
                 continue  # everything at the head was deadline-dead
@@ -435,38 +439,6 @@ class _Shard:
             worker = next_worker
             start = max(free_at, finish + self.chaos.backoff_s)
 
-    def _form_batch(self, start: float) -> list[TraceEvent]:
-        """Head job + every compatible waiter, capped at ``max_batch``.
-
-        Mirrors the live queue's ``get_matching``: the head fixes the
-        key, later waiters join regardless of position, order is
-        preserved.  Jobs whose deadline passed before service start are
-        shed here — the same point the live worker sheds them.
-        """
-        batch: list[TraceEvent] = []
-        while self.waiting and not batch:
-            head = self.waiting.popleft()
-            if self._expired(head, start):
-                self._shed_deadline(head, start)
-                continue
-            batch.append(head)
-        if not batch:
-            return batch
-        key = batch[0].batch_key()
-        kept: deque = deque()
-        while self.waiting and len(batch) < self.spec.max_batch:
-            e = self.waiting.popleft()
-            if e.batch_key() != key:
-                kept.append(e)
-                continue
-            if self._expired(e, start):
-                self._shed_deadline(e, start)
-                continue
-            batch.append(e)
-        kept.extend(self.waiting)
-        self.waiting = kept
-        return batch
-
     def _shed_deadline(self, event: TraceEvent, t: float) -> None:
         self.deadline_shed.append(event)
         ctx = self.ctxs.get(event.index)
@@ -475,13 +447,6 @@ class _Shard:
                 "request", "deadline", t=t, status="shed",
                 terminal=True, latency_s=t - event.t, shard=self.name,
             )
-
-    @staticmethod
-    def _expired(event: TraceEvent, now: float) -> bool:
-        return (
-            event.deadline_s is not None
-            and now >= event.t + event.deadline_s
-        )
 
 
 #: slowest-K size for the always-computed p99 exemplar rows
@@ -515,11 +480,7 @@ def simulate_tier(
     tier = tier or TierSpec()
     if rlog is None:
         rlog = get_request_log()
-    ring = ShardRing(
-        [f"shard{i}" for i in range(tier.n_shards)],
-        replicas=tier.ring_replicas,
-        seed=tier.ring_seed,
-    )
+    ring = ShardRing([f"shard{i}" for i in range(tier.n_shards)])
     ctxs: dict = {}
     shards = {
         name: _Shard(tier, name=name, chaos=chaos, ctxs=ctxs)
@@ -685,10 +646,11 @@ def replay_trace(
 
     Arrival timestamps are compressed by ``speedup`` (100 plays a
     100-second trace in about a second).  Every admitted job's future
-    is awaited; nothing is left unresolved.  Returns outcome counts —
-    wall-clock latencies are *observed* here (reported for smoke-test
-    sanity), not asserted on: determinism lives in the virtual-time
-    simulator.
+    is awaited for up to ``max_wait_s`` without being cancelled; one
+    still pending then counts as ``unresolved``, not ``failed``.
+    Returns outcome counts — wall-clock latencies are *observed* here
+    (reported for smoke-test sanity), not asserted on: determinism
+    lives in the virtual-time simulator.
     """
 
     async def _run() -> dict:
@@ -700,9 +662,9 @@ def replay_trace(
             "queue_shed": 0,
             "deadline_shed": 0,
             "failed": 0,
+            "unresolved": 0,
         }
         latencies: list[float] = []
-        futures: list = []
 
         async def _one(event: TraceEvent) -> None:
             target = start + event.t / speedup
@@ -721,22 +683,21 @@ def replay_trace(
             except JobQueueFull:
                 outcomes["queue_shed"] += 1
                 return
-            futures.append(future)
             # awaited here, not after the last arrival: the latency is
-            # stamped when this request completes
+            # stamped when this request completes; the shield keeps a
+            # timeout from cancelling the future into a false failure
             try:
-                await asyncio.wait_for(future, timeout=max_wait_s)
+                await asyncio.wait_for(asyncio.shield(future), max_wait_s)
             except JobDeadlineExceeded:
                 outcomes["deadline_shed"] += 1
             except Exception:
-                outcomes["failed"] += 1
+                outcomes["failed" if future.done() else "unresolved"] += 1
             else:
                 outcomes["completed"] += 1
                 latencies.append(loop.time() - target)
 
         await asyncio.gather(*(_one(e) for e in trace))
         outcomes["latency_s"] = summarize(latencies)
-        outcomes["unresolved"] = sum(0 if f.done() else 1 for f in futures)
         return outcomes
 
     return asyncio.run(_run())

@@ -203,14 +203,11 @@ class ShardedEngine:
         policy: str = "fifo",
         admission: str = "shed",
         submit_timeout_s: float | None = None,
-        batch_linger_s: float = 0.0,
         faults=None,
         default_deadline_s: float | None = None,
         retry: RetryPolicy | None = None,
         breaker_config: dict | None = None,
         spill: int = 1,
-        ring_replicas: int = 64,
-        ring_seed: int = 0,
         ring_weights: dict[str, float] | None = None,
     ):
         if n_shards < 1:
@@ -219,12 +216,7 @@ class ShardedEngine:
             raise ValueError("spill must be >= 0")
         self.spill = spill
         names = [f"shard{i}" for i in range(n_shards)]
-        self.ring = ShardRing(
-            names,
-            replicas=ring_replicas,
-            seed=ring_seed,
-            weights=ring_weights,
-        )
+        self.ring = ShardRing(names, weights=ring_weights)
         self.shards: dict[str, ExecutionEngine] = {
             name: ExecutionEngine(
                 n_workers=n_workers,
@@ -235,7 +227,6 @@ class ShardedEngine:
                 policy=policy,
                 admission=admission,
                 submit_timeout_s=submit_timeout_s,
-                batch_linger_s=batch_linger_s,
                 faults=faults,
                 default_deadline_s=default_deadline_s,
                 retry=retry,

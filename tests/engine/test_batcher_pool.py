@@ -1,5 +1,7 @@
 """Batcher coalescing and worker-pool scheduling policies."""
 
+import time
+
 import pytest
 
 from repro.engine import (
@@ -45,23 +47,22 @@ class TestBatcher:
         batcher = Batcher(BoundedJobQueue(depth=2), max_batch=4)
         assert batcher.next_batch(timeout=0.01) is None
 
-    def test_linger_tops_up_partial_batch(self):
-        import threading
-        import time
-
+    def test_expired_job_takes_no_slot(self):
+        # [expired A, B, C] under max_batch=2: A is shed without
+        # spending a slot, so B and C share the batch
         q = BoundedJobQueue(depth=8)
-        q.put(_job(0))
-
-        def late_producer():
-            time.sleep(0.03)
-            q.put(_job(1))
-
-        t = threading.Thread(target=late_producer, daemon=True)
-        t.start()
-        batcher = Batcher(q, max_batch=4, linger_s=0.5)
+        a, b, c = (_job(i) for i in range(3))
+        a.deadline_at = time.monotonic() - 1.0
+        for job in (a, b, c):
+            q.put(job)
+        shed = []
+        batcher = Batcher(q, max_batch=2, on_expired=shed.append)
         batch = batcher.next_batch()
-        t.join(2.0)
-        assert batch.size == 2
+        assert batch.jobs == [b, c]
+        assert shed == [a]
+        assert len(q) == 0
+        st = q.stats
+        assert st.total_writes == st.total_reads + st.occupancy
 
     def test_batch_requires_jobs(self):
         with pytest.raises(ValueError):

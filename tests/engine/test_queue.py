@@ -29,7 +29,7 @@ class TestAdmission:
         job = _job()
         q.put(job)
         assert q.occupancy == 1
-        assert q.get_batch(1) == [job]
+        assert q.get_batch(1) == ([job], [])
         assert q.occupancy == 0
 
     def test_shed_policy_raises_typed_error(self):
@@ -97,40 +97,30 @@ class TestBatchDrain:
         b = _job(9, variance=0.35)
         for job in (a[0], a[1], b, a[2]):
             q.put(job)
-        batch = q.get_batch(max_size=4)
+        batch, _ = q.get_batch(max_size=4)
         assert batch == a  # same-key jobs coalesce across the stranger
-        assert q.get_batch(max_size=4) == [b]
+        assert q.get_batch(max_size=4) == ([b], [])
 
     def test_get_batch_respects_max_size(self):
         q = BoundedJobQueue(depth=8)
         jobs = [_job(i) for i in range(5)]
         for job in jobs:
             q.put(job)
-        assert q.get_batch(max_size=2) == jobs[:2]
-        assert q.get_batch(max_size=2) == jobs[2:4]
+        assert q.get_batch(max_size=2) == (jobs[:2], [])
+        assert q.get_batch(max_size=2) == (jobs[2:4], [])
 
     def test_closed_and_empty_returns_empty(self):
         q = BoundedJobQueue(depth=2)
         q.close()
-        assert q.get_batch(1, timeout=0.01) == []
+        assert q.get_batch(1, timeout=0.01) == ([], [])
 
     def test_close_leaves_pending_readable(self):
         q = BoundedJobQueue(depth=2)
         job = _job()
         q.put(job)
         q.close()
-        assert q.get_batch(1) == [job]
-        assert q.get_batch(1, timeout=0.01) == []
-
-    def test_get_matching_skips_other_keys(self):
-        q = BoundedJobQueue(depth=8)
-        a = _job(1, variance=1.39)
-        b = _job(2, variance=0.35)
-        q.put(a)
-        q.put(b)
-        got = q.get_matching(b.batch_key(), max_size=2, timeout=0.01)
-        assert got == [b]
-        assert q.get_batch(1) == [a]  # untouched, order preserved
+        assert q.get_batch(1) == ([job], [])
+        assert q.get_batch(1, timeout=0.01) == ([], [])
 
 
 class TestWaitDeadlines:
@@ -138,34 +128,13 @@ class TestWaitDeadlines:
     holds one monotonic deadline across wakeups instead of restarting
     (or abandoning) its timeout on each one."""
 
-    def test_get_matching_waits_through_non_matching_puts(self):
-        # the old single-wait get_matching returned [] as soon as ANY
-        # put woke it, even one with the wrong key — a reader asking
-        # for key B must keep waiting until B arrives or time runs out
-        q = BoundedJobQueue(depth=8)
-        b = _job(9, variance=0.35)
-        got = []
-
-        def reader():
-            got.extend(q.get_matching(b.batch_key(), max_size=1, timeout=2.0))
-
-        t = threading.Thread(target=reader, daemon=True)
-        t.start()
-        time.sleep(0.02)
-        q.put(_job(1, variance=1.39))  # wrong key: wakes, must not satisfy
-        time.sleep(0.05)
-        assert t.is_alive()  # still waiting, not returned-empty
-        q.put(b)
-        t.join(2.0)
-        assert got == [b]
-
     def test_get_batch_survives_spurious_wakeup(self):
         q = BoundedJobQueue(depth=4)
         job = _job()
         got = []
 
         def reader():
-            got.extend(q.get_batch(1, timeout=2.0))
+            got.extend(q.get_batch(1, timeout=2.0)[0])
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
@@ -194,7 +163,7 @@ class TestWaitDeadlines:
         t = threading.Thread(target=poker, daemon=True)
         t.start()
         t0 = time.monotonic()
-        assert q.get_batch(1, timeout=0.15) == []
+        assert q.get_batch(1, timeout=0.15) == ([], [])
         elapsed = time.monotonic() - t0
         stop.set()
         t.join(2.0)
@@ -224,24 +193,22 @@ class TestWaitDeadlines:
 
     def test_close_wakes_both_producers_and_consumers(self):
         # a producer blocked on a full queue (waits on not_full) and a
-        # consumer blocked on a key that never arrives (waits on
-        # not_empty) must BOTH wake promptly when close() fires — it
-        # has to notify both conditions
-        q = BoundedJobQueue(depth=1)
-        q.put(_job(1, variance=1.39))
-        absent_key = _job(9, variance=0.35).batch_key()
+        # consumer blocked on an empty one (waits on not_empty) must
+        # BOTH wake promptly when close() fires — it has to notify
+        # both conditions
+        full = BoundedJobQueue(depth=1)
+        full.put(_job(1))
+        empty = BoundedJobQueue(depth=1)
         outcomes = []
 
         def producer():
             try:
-                q.put(_job(2), block=True, timeout=10.0)
+                full.put(_job(2), block=True, timeout=10.0)
             except JobQueueClosed:
                 outcomes.append("producer-closed")
 
         def consumer():
-            outcomes.append(
-                ("consumer", q.get_matching(absent_key, 1, timeout=10.0))
-            )
+            outcomes.append(("consumer", empty.get_batch(1, timeout=10.0)))
 
         threads = [
             threading.Thread(target=producer, daemon=True),
@@ -250,14 +217,15 @@ class TestWaitDeadlines:
         for t in threads:
             t.start()
         time.sleep(0.05)
-        q.close()
+        full.close()
+        empty.close()
         t0 = time.monotonic()
         for t in threads:
             t.join(2.0)
         assert time.monotonic() - t0 < 1.0  # woken by close, not timeout
         assert not any(t.is_alive() for t in threads)
         assert "producer-closed" in outcomes
-        assert ("consumer", []) in outcomes
+        assert ("consumer", ([], [])) in outcomes
 
 
 class TestSharedFifoAccounting:

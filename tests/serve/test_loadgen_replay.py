@@ -168,6 +168,13 @@ class _InstantGateway:
         return future
 
 
+class _NeverGateway:
+    """Admits every job and never resolves its future."""
+
+    async def submit(self, tenant, job):
+        return asyncio.get_running_loop().create_future()
+
+
 class TestReplayLatency:
     def test_latency_is_stamped_at_completion(self):
         # arrivals spread over 0.6 s of wall time; each future resolves
@@ -185,3 +192,15 @@ class TestReplayLatency:
         # stamping after the last arrival gave p50 ~ span/2, max ~ span
         assert latency["p50"] < span_s / 6
         assert latency["max"] < span_s / 2
+
+    def test_pending_future_counts_as_unresolved(self):
+        # a future still pending at max_wait_s is unresolved, not a
+        # failure: the wait must not cancel it into one
+        trace = [
+            dataclasses.replace(event, t=0.0)
+            for event in generate_trace(SPEC)[:3]
+        ]
+        outcomes = replay_trace(_NeverGateway(), trace, max_wait_s=0.1)
+        assert outcomes["unresolved"] == 3
+        assert outcomes["failed"] == 0
+        assert outcomes["completed"] == 0
