@@ -11,6 +11,7 @@ uncontended-in-practice locks per hop — a few µs per request against a
 payload measured in hundreds of µs.
 """
 
+import gc
 import time
 
 from repro.engine.jobs import GammaJob
@@ -52,26 +53,41 @@ def _throughput(log) -> float:
         return N_JOBS / (time.perf_counter() - t0)
 
 
-def _best(make_log, n=5) -> float:
-    return max(_throughput(make_log()) for _ in range(n))
+def _paired_best(n=10):
+    """Best untraced and best traced jobs/s over ``n`` interleaved pairs.
+
+    Each pair runs both sides back to back, alternating which goes
+    first, so drift in host speed lands on both sides alike instead of
+    on whichever side ran last.  One untimed run first fills the
+    per-process caches (path rates, code paths) that would otherwise
+    slow only the first timed run; every run starts from a collected
+    heap and no trace log outlives its run, so neither side pays for
+    the other's garbage.  Single runs on a 2-vCPU host spread by +-10%,
+    so the best of ten pairs is the least that keeps a true cost of
+    ~5% clear of the bar.
+    """
+    _throughput(None)
+    off = on = 0.0
+    for i in range(n):
+        for traced in (False, True) if i % 2 == 0 else (True, False):
+            gc.collect()
+            if traced:
+                log = RequestTraceLog()
+                on = max(on, _throughput(log))
+                # every traced run really captured every request
+                assert log.snapshot()["minted"] == N_JOBS
+            else:
+                off = max(off, _throughput(None))
+    return off, on
 
 
 def test_tracing_on_costs_under_ten_percent():
-    off = _best(lambda: None)
-    log_holder = []
-
-    def _fresh():
-        log_holder.append(RequestTraceLog())
-        return log_holder[-1]
-
-    on = _best(_fresh)
+    off, on = _paired_best()
     cost = 1.0 - on / off
     print(
         f"\nuntraced {off:.0f} jobs/s, traced {on:.0f} jobs/s, "
         f"cost {100 * cost:+.1f}%"
     )
-    # every traced run really captured every request
-    assert log_holder[-1].snapshot()["minted"] == N_JOBS
     assert on > off * 0.90, (
         f"always-on tracing costs {100 * cost:.1f}% throughput (> 10%)"
     )

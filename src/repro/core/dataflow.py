@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.core.graph import stream_endpoints, topological_order
 from repro.core.process import Process
 from repro.core.scheduler import CycleKernel, DeadlockError
 from repro.core.stream import Stream
@@ -136,37 +135,18 @@ class DataflowRegion:
 
     def _validate(self) -> list[Process]:
         """Enforce single producer/consumer per stream; topo-sort processes."""
-        producers: dict[Stream, Process] = {}
-        consumers: dict[Stream, Process] = {}
-        for proc in self._processes:
-            for s in proc.outputs():
-                if s in producers:
-                    raise DataflowError(
-                        f"stream {s.name!r} has two producers: "
-                        f"{producers[s].name!r} and {proc.name!r}"
-                    )
-                producers[s] = proc
-            for s in proc.inputs():
-                if s in consumers:
-                    raise DataflowError(
-                        f"stream {s.name!r} has two consumers: "
-                        f"{consumers[s].name!r} and {proc.name!r}"
-                    )
-                consumers[s] = proc
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(self._processes)))
-        index = {p: i for i, p in enumerate(self._processes)}
-        for s, producer in producers.items():
-            consumer = consumers.get(s)
-            if consumer is not None:
-                graph.add_edge(index[producer], index[consumer])
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
+        producers, consumers = stream_endpoints(
+            [(p,) for p in self._processes], DataflowError
+        )
+        order = topological_order(
+            len(self._processes),
+            [(producers[s][0], consumers[s][0]) for s in producers if s in consumers],
+        )
+        if order is None:
             raise DataflowError(
                 f"region {self.name!r} contains a stream cycle; DATAFLOW "
                 "requires a feed-forward process network"
-            ) from exc
+            )
         self._validated = True
         return [self._processes[i] for i in order]
 

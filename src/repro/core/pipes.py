@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.dataflow import (
     DataflowError,
     DataflowRegion,
@@ -48,6 +46,7 @@ from repro.core.dataflow import (
     stream_fields,
     stuck_lines,
 )
+from repro.core.graph import stream_endpoints, topological_order
 from repro.core.process import Process
 from repro.core.scheduler import CycleKernel
 from repro.core.stream import Stream
@@ -169,27 +168,12 @@ class PipelineGraph:
                         "regions"
                     )
                 names.add(proc.name)
-        producers: dict[Stream, int] = {}
-        consumers: dict[Stream, int] = {}
-        for i, region in enumerate(self._regions):
-            for proc in region.processes:
-                for s in proc.outputs():
-                    if s in producers:
-                        raise PipeError(
-                            f"stream {s.name!r} produced in two regions"
-                        )
-                    producers[s] = i
-                for s in proc.inputs():
-                    if s in consumers:
-                        raise PipeError(
-                            f"stream {s.name!r} consumed in two regions"
-                        )
-                    consumers[s] = i
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(self._regions)))
+        producers, consumers = stream_endpoints(
+            [region.processes for region in self._regions], PipeError
+        )
         pipes: list[Pipe] = []
-        for s, producer in producers.items():
-            consumer = consumers.get(s)
+        for s, (producer, _) in producers.items():
+            consumer, _ = consumers.get(s, (None, None))
             if consumer is None:
                 if isinstance(s, Pipe):
                     raise PipeError(
@@ -214,21 +198,22 @@ class PipelineGraph:
                     "links must be Pipes"
                 )
             pipes.append(s)
-            graph.add_edge(producer, consumer)
-        for s, consumer in consumers.items():
+        for s, (consumer, _) in consumers.items():
             if isinstance(s, Pipe) and s not in producers:
                 raise PipeError(
                     f"pipe {s.name!r} has a consumer (region "
                     f"{self._regions[consumer].name!r}) but no producer "
                     "region"
                 )
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
+        order = topological_order(
+            len(self._regions),
+            [(producers[p][0], consumers[p][0]) for p in pipes],
+        )
+        if order is None:
             raise PipeError(
                 f"pipeline {self.name!r} contains a region cycle; "
                 "pipelines require a feed-forward region DAG"
-            ) from exc
+            )
         ordered_regions = [self._regions[i] for i in order]
         ordered_processes = [
             p for i in order for p in region_order[i]

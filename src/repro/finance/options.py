@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "GBMParams",
@@ -80,9 +80,10 @@ def black_scholes_price(
         sigma * math.sqrt(t)
     )
     d2 = d1 - sigma * math.sqrt(t)
+    cdf = NormalDist().cdf
     if call:
-        return s * norm.cdf(d1) - strike * math.exp(-r * t) * norm.cdf(d2)
-    return strike * math.exp(-r * t) * norm.cdf(-d2) - s * norm.cdf(-d1)
+        return s * cdf(d1) - strike * math.exp(-r * t) * cdf(d2)
+    return strike * math.exp(-r * t) * cdf(-d2) - s * cdf(-d1)
 
 
 def simulate_gbm_paths(

@@ -36,7 +36,19 @@ from repro.rng.gamma import (
     gamma_samples,
     marsaglia_tsang_constants,
 )
-from repro.rng.battery import TestOutcome, run_battery
+
+# the statistical battery needs scipy.stats (~1 s to import): load it on
+# first use so ``import repro`` stays scipy-free
+_BATTERY = ("TestOutcome", "run_battery")
+
+
+def __getattr__(name):
+    if name in _BATTERY:
+        from repro.rng import battery
+
+        return getattr(battery, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MersenneTwister",

@@ -25,9 +25,9 @@ guards ``ICDF`` with the same ``n0_valid`` mechanism as Marsaglia-Bray.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.fixedpoint import ApFixed, ApUInt
 
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_QUANTILE = NormalDist().inv_cdf
 
 #: number of exponential segments covering p in (2**-(S+1), 0.5]
 ICDF_SEGMENTS = 28
@@ -120,18 +121,16 @@ class IcdfFpga:
         n_sub = 1 << k
         c0 = np.empty((self.segments + 1, n_sub), dtype=np.int64)
         c1 = np.empty((self.segments + 1, n_sub), dtype=np.int64)
+        # row ``segments`` is the terminal segment: everything deeper than
+        # the last resolvable boundary collapses into one clamped cell
         for s in range(self.segments + 1):
-            if s < self.segments:
-                p_lo = 2.0 ** -(s + 2)
-            else:
-                # terminal segment: everything deeper than the last
-                # resolvable boundary collapses into one clamped cell
-                p_lo = 2.0 ** -(self.segments + 2)
-            p_hi = 2.0 ** -(s + 1)
-            edges = np.linspace(p_lo, p_hi, n_sub + 1)
-            mag = -norm.ppf(edges)  # positive magnitudes (p < 0.5)
-            # subsegment index counts from p_lo upward (low x bits side);
-            # within a subsegment the fraction t grows toward p_hi
+            edges = np.linspace(2.0 ** -(s + 2), 2.0 ** -(s + 1), n_sub + 1)
+            # positive magnitudes (p < 0.5); the stdlib quantile rounds to
+            # the same ROM as scipy's norm.ppf (tests/rng/test_icdf.py)
+            mag = -np.array([_QUANTILE(p) for p in edges])
+            # subsegment index counts from the low edge 2**-(s+2) upward
+            # (low x bits side); within a subsegment the fraction t grows
+            # toward the high edge
             lo_edge = mag[:-1]
             hi_edge = mag[1:]
             c0[s] = np.round(lo_edge * self._scale).astype(np.int64)

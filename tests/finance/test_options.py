@@ -32,6 +32,30 @@ class TestBlackScholes:
         parity = PARAMS.spot - k * math.exp(-PARAMS.rate * PARAMS.maturity)
         assert call - put == pytest.approx(parity, abs=1e-9)
 
+    @pytest.mark.parametrize("call", [True, False])
+    def test_equals_the_scipy_formula(self, call):
+        from scipy.stats import norm
+
+        for spot, vol, t, strike in (
+            (100.0, 0.25, 1.0, 100.0),
+            (100.0, 0.1, 0.25, 80.0),
+            (50.0, 0.6, 3.0, 75.0),
+            (100.0, 0.2, 2.0, 130.0),
+        ):
+            p = GBMParams(spot=spot, rate=0.03, volatility=vol, maturity=t)
+            d1 = (math.log(spot / strike) + (0.03 + 0.5 * vol**2) * t) / (
+                vol * math.sqrt(t)
+            )
+            d2 = d1 - vol * math.sqrt(t)
+            disc = strike * math.exp(-0.03 * t)
+            if call:
+                ref = spot * norm.cdf(d1) - disc * norm.cdf(d2)
+            else:
+                ref = disc * norm.cdf(-d2) - spot * norm.cdf(-d1)
+            assert black_scholes_price(p, strike, call=call) == pytest.approx(
+                ref, rel=1e-12
+            )
+
     def test_deep_itm_call_near_forward(self):
         call = black_scholes_price(PARAMS, 1.0, call=True)
         assert call == pytest.approx(

@@ -61,6 +61,29 @@ class TestFpgaStyleConstruction:
         assert IcdfFpga(segments=10).rejection_probability == 2.0**-10
 
 
+def _scipy_rom(segments, subseg_bits, frac_bits=24):
+    """The chord ROM built from ``scipy.stats.norm.ppf``."""
+    n_sub = 1 << subseg_bits
+    scale = 1 << frac_bits
+    c0 = np.empty((segments + 1, n_sub), dtype=np.int64)
+    c1 = np.empty_like(c0)
+    for s in range(segments + 1):
+        edges = np.linspace(2.0 ** -(s + 2), 2.0 ** -(s + 1), n_sub + 1)
+        mag = -stats.norm.ppf(edges)
+        c0[s] = np.round(mag[:-1] * scale).astype(np.int64)
+        c1[s] = np.round((mag[1:] - mag[:-1]) * scale).astype(np.int64)
+    return c0, c1
+
+
+def test_rom_equals_the_scipy_rom_for_every_shape():
+    for segments in range(1, 31):
+        for subseg_bits in range(1, 9):
+            table = IcdfFpga(segments=segments, subseg_bits=subseg_bits)
+            c0, c1 = _scipy_rom(segments, subseg_bits)
+            np.testing.assert_array_equal(table._c0, c0)
+            np.testing.assert_array_equal(table._c1, c1)
+
+
 class TestFpgaStyleDecompose:
     def test_sign_bit(self):
         t = IcdfFpga()
