@@ -51,21 +51,12 @@ class DecoupledConfig:
     # the paper's board has ONE channel; >1 models the "customized
     # memory controller" extension its conclusion suggests
     n_channels: int = 1
-    #: run each work-item's MAINLOOP math in vectorized numpy blocks
-    #: (:mod:`repro.core.lanes`) — bit-identical results, fewer Python
-    #: cycles per tick; marsaglia_bray only
-    vector_lanes: bool = False
 
     def __post_init__(self):
         if self.n_work_items < 1:
             raise ValueError("need at least one work-item")
         if self.n_channels < 1:
             raise ValueError("need at least one memory channel")
-        if self.vector_lanes and self.kernel.transform != "marsaglia_bray":
-            raise ValueError(
-                "vector_lanes supports the marsaglia_bray transform only "
-                f"(got {self.kernel.transform!r})"
-            )
         values_per_burst = self.burst_words * FLOATS_PER_WORD
         if self.kernel.limit_main % values_per_burst:
             raise ValueError(
@@ -144,6 +135,9 @@ class DecoupledWorkItems:
     (128,)
     """
 
+    #: the gamma work-item class (tests swap in the scalar reference)
+    _kernel_cls = GammaRNGProcess
+
     def __init__(self, config: DecoupledConfig):
         self.config = config
         self.memory = GlobalMemory(config.total_words)
@@ -162,13 +156,9 @@ class DecoupledWorkItems:
         icdf = (
             IcdfFpga() if config.kernel.transform == "icdf_fpga" else None
         )
-        if config.vector_lanes:
-            from repro.core.lanes import VectorGammaRNGProcess as kernel_cls
-        else:
-            kernel_cls = GammaRNGProcess
         for wid in range(config.n_work_items):
             stream = Stream(f"gammaStream{wid}", depth=config.stream_depth)
-            kernel = kernel_cls(
+            kernel = self._kernel_cls(
                 f"GammaRNG{wid}", wid, config.kernel, stream, icdf_table=icdf
             )
             engine = TransferEngine(

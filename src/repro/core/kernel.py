@@ -19,14 +19,20 @@ pipeline sustains II=1 (Section III-B).  Setting
 :data:`~repro.core.delayed_counter.NAIVE_EXIT_II`), and
 ``adapted_mt=False`` models unmodified gated twisters (a pipeline
 bubble per suppressed update) — the two ablations of DESIGN.md §6.
+
+:class:`ReferenceGammaRNGProcess` runs that iteration in scalar Python
+once per ``tick``; :class:`GammaRNGProcess`, the work-item every builder
+uses, computes the iterations ahead in numpy blocks
+(:mod:`repro.core.lanes`) and keeps the same cycles, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.delayed_counter import NAIVE_EXIT_II, DelayedCounter
+from repro.core.lanes import DEFAULT_BLOCK, GammaLaneStream
 from repro.core.mt_adapted import AdaptedMT, NaiveGatedMT
 from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
@@ -38,7 +44,12 @@ from repro.rng.marsaglia_bray import marsaglia_bray_attempt
 from repro.rng.mersenne import MTParams, MT19937_PARAMS
 from repro.rng.uniform import uint_to_float, uint_to_symmetric
 
-__all__ = ["GammaKernelConfig", "GammaRNGProcess", "TRANSFORMS"]
+__all__ = [
+    "GammaKernelConfig",
+    "GammaRNGProcess",
+    "ReferenceGammaRNGProcess",
+    "TRANSFORMS",
+]
 
 
 @lru_cache(maxsize=8)
@@ -113,8 +124,10 @@ class GammaKernelConfig:
         return 1 if self.use_delayed_counter else NAIVE_EXIT_II
 
 
-class GammaRNGProcess(Process):
-    """Cycle-level Listing 2 work-item.
+class _GammaWorkItem(Process):
+    """What both gamma work-items share: identity, twisters, the
+    blocked-write / bubble state the fast-path hints describe, and the
+    statistics.
 
     Parameters
     ----------
@@ -159,14 +172,7 @@ class GammaRNGProcess(Process):
         self._icdf = icdf_table
         if config.transform == "icdf_fpga" and self._icdf is None:
             self._icdf = IcdfFpga()
-        # loop state
         self._sector = 0
-        self._k = 0
-        self._counter = DelayedCounter(config.break_id)
-        self._consts = marsaglia_tsang_constants(
-            1.0 / config.sector_variances[0]
-        )
-        self._scale = config.sector_variances[0]
         self._done = False
         self._pending: float | None = None
         self._stall_budget = 0
@@ -176,9 +182,7 @@ class GammaRNGProcess(Process):
         self.accepts = 0
         self.overrun_iterations = 0
         self.produced: list[float] = []
-        # fast-path hints describe THIS tick implementation; a subclass
-        # overriding tick() falls back to the reference loop
-        self._hintable = type(self).tick is GammaRNGProcess.tick
+        self._hintable = False
 
     # -- dataflow wiring -----------------------------------------------------------
 
@@ -210,7 +214,112 @@ class GammaRNGProcess(Process):
             self._stall_budget -= count
             self._account(PIPELINE, count)
 
-    # -- helpers --------------------------------------------------------------------
+    # -- reporting ------------------------------------------------------------------
+
+    @property
+    def measured_rejection_rate(self) -> float:
+        """Fraction of MAINLOOP iterations not yielding a valid output."""
+        if self.attempts == 0:
+            return 0.0
+        return 1.0 - self.accepts / self.attempts
+
+
+class GammaRNGProcess(_GammaWorkItem):
+    """Cycle-level Listing 2 work-item (the production model).
+
+    The MAINLOOP *mathematics* is computed ahead in numpy blocks by a
+    :class:`~repro.core.lanes.GammaLaneStream` — sound because the
+    adapted twisters (Listing 3) advance only on enable, so the words an
+    iteration sees do not depend on timing.  This ``tick`` replays one
+    precomputed record per cycle with the scalar tick's cycle semantics:
+    values, reports, stream traffic and twister ``steps``/``held`` are
+    bit-identical to :class:`ReferenceGammaRNGProcess`.
+    """
+
+    #: MAINLOOP iterations per lane block (tests shrink it to cross
+    #: many block boundaries)
+    _lane_block = DEFAULT_BLOCK
+
+    def __init__(
+        self,
+        name: str,
+        wid: int,
+        config: GammaKernelConfig,
+        sink: Stream,
+        icdf_table: IcdfFpga | None = None,
+    ):
+        super().__init__(name, wid, config, sink, icdf_table)
+        self._lanes = GammaLaneStream(
+            config,
+            (self.mt_norm_a, self.mt_norm_b, self.mt_reject, self.mt_correct),
+            icdf=self._icdf,
+            block=self._lane_block,
+        )
+        # fast-path hints describe THIS tick implementation; a subclass
+        # overriding tick() falls back to the reference loop
+        self._hintable = type(self).tick is GammaRNGProcess.tick
+
+    def tick(self, cycle: int) -> str:
+        # a completed iteration is waiting on a full output stream:
+        # the whole pipeline freezes (hls::stream blocking write)
+        if self._pending is not None:
+            if not self.sink.can_write(cycle):
+                return self._account(FIFO_FULL)
+            self.sink.write(self._pending)
+            self._pending = None
+            return self._account(COMPUTE)
+
+        # II bubbles / naive-MT flush cycles
+        if self._stall_budget > 0:
+            self._stall_budget -= 1
+            return self._account(PIPELINE)
+
+        record = self._lanes.pop()
+        if record is None:  # the exit test fired: next sector
+            self._sector += 1
+            if self._sector >= self.config.sectors:
+                self._done = True
+                self.sink.close()
+            return self._account(COMPUTE)
+
+        ok, wrote, value, stall = record
+        self.attempts += 1
+        self.stats.iterations += 1
+        if wrote:
+            self.accepts += 1
+            self.produced.append(value)
+            self.outputs_produced += 1
+            if self.sink.can_write(cycle):
+                self.sink.write(value)
+            else:
+                self._pending = value
+        elif ok:
+            self.overrun_iterations += 1
+        self._stall_budget = stall
+        return self._account(COMPUTE)
+
+
+class ReferenceGammaRNGProcess(_GammaWorkItem):
+    """The scalar Listing 2 tick: one MAINLOOP iteration per call.
+
+    The executable specification :class:`GammaRNGProcess` is checked
+    against (``tests/core/test_gamma_lanes_properties.py``) and the
+    baseline ``tools/record_bench.py`` times it against.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        wid: int,
+        config: GammaKernelConfig,
+        sink: Stream,
+        icdf_table: IcdfFpga | None = None,
+    ):
+        super().__init__(name, wid, config, sink, icdf_table)
+        self._k = 0
+        self._counter = DelayedCounter(config.break_id)
+        self._enter_sector(0)
+        self._hintable = type(self).tick is ReferenceGammaRNGProcess.tick
 
     def _enter_sector(self, sector: int) -> None:
         variance = self.config.sector_variances[sector]
@@ -236,8 +345,6 @@ class GammaRNGProcess(Process):
         # icdf_cuda: rejection-free
         u = uint_to_float(self.mt_norm_a(True))
         return icdf_cuda_style(u), True
-
-    # -- the pipeline ------------------------------------------------------------------
 
     def tick(self, cycle: int) -> str:
         # a completed iteration is waiting on a full output stream:
@@ -282,7 +389,6 @@ class GammaRNGProcess(Process):
         corrected = gamma_correct(g_value, u2, self._consts)
         gamma = corrected if self._consts.boosted else g_value
 
-        wrote = False
         if ok and self._counter.value < cfg.limit_main:
             self.accepts += 1
             value = gamma * self._scale
@@ -293,7 +399,6 @@ class GammaRNGProcess(Process):
                 self.sink.write(value)
             else:
                 self._pending = value
-            wrote = True
         elif ok:
             # iteration past the quota, still in flight because the exit
             # test reads the delayed counter — the guarded write drops it
@@ -315,14 +420,4 @@ class GammaRNGProcess(Process):
             )
             stall += bubbles
         self._stall_budget = stall
-        _ = wrote
         return self._account(COMPUTE)
-
-    # -- reporting ------------------------------------------------------------------
-
-    @property
-    def measured_rejection_rate(self) -> float:
-        """Fraction of MAINLOOP iterations not yielding a valid output."""
-        if self.attempts == 0:
-            return 0.0
-        return 1.0 - self.accepts / self.attempts

@@ -1,33 +1,32 @@
-"""Vectorized Monte Carlo lanes for the gamma kernel (bit-identical).
+"""Block-computed MAINLOOP lanes for the gamma work-item (bit-identical).
 
-:class:`~repro.core.kernel.GammaRNGProcess` advances one MAINLOOP
-iteration per Python ``tick()`` — faithful, but the per-iteration
-Python cost dominates large sweeps.  This module batches the iteration
-*mathematics* into numpy lane vectors while leaving the *cycle
-semantics* (blocking writes, II bubbles, sector advances, fast-path
-hints) untouched:
-
-* :class:`GammaLaneStream` precomputes blocks of MAINLOOP iteration
-  outcomes — ``(ok, wrote, value, bubble_cycles)`` records plus sector
-  advances — using :meth:`~repro.rng.mersenne.MersenneTwister.generate`
-  (documented to continue the scalar stream exactly) and closed-form
-  replays of the delayed-counter exit condition;
-* :class:`VectorGammaRNGProcess` is a drop-in
-  :class:`~repro.core.kernel.GammaRNGProcess` whose ``tick`` consumes
-  one precomputed record per cycle instead of running the scalar
-  pipeline.
+The paper's adapted twister (Listing 3) advances its state only on
+enable, so the uniform words a work-item consumes do not depend on
+*when* its iterations run.  :class:`GammaLaneStream` exploits that: it
+computes blocks of MAINLOOP iteration outcomes ahead of the clock with
+numpy lane vectors, and :class:`~repro.core.kernel.GammaRNGProcess`
+replays one record per cycle — so the *cycle semantics* (blocking
+writes, II bubbles, sector advances, fast-path hints) stay those of
+the scalar Listing 2 tick
+(:class:`~repro.core.kernel.ReferenceGammaRNGProcess`).
 
 Bit-identity contract
 ---------------------
 Every float is produced by the *same IEEE-754 double operations in the
 same order* as the scalar path.  Elementwise ``+ - * /`` and
 ``np.sqrt`` on float64 arrays are bit-identical to their scalar
-counterparts, but ``np.log`` and ``np.power`` are **not** guaranteed to
-match libm — so the (rare) lanes that need a logarithm or the
-``u2**(1/alpha)`` correction are evaluated with scalar ``math.log`` /
-Python ``**`` exactly like the scalar kernel.  The differential suite
-(``tests/core/test_vector_lanes.py``) asserts identical device memory,
-reports, and RNG statistics across the paper configurations.
+counterparts, but ``np.log``, ``np.cos`` and ``np.power`` are **not**
+guaranteed to match libm — so every lane that needs a libm call
+(Marsaglia-Bray's ``log(s)``, Box-Muller's ``log``/``cos``, the
+squeeze-failing ``log(u1)``/``log(v)`` and the ``u2**(1/alpha)``
+correction) calls the scalar function once per lane, exactly like the
+scalar kernel.  The two ICDF transforms are numpy in the scalar path
+too: ``icdf_fpga`` goes through :meth:`~repro.rng.icdf.IcdfFpga.evaluate_batch`
+(integer arithmetic, pinned to ``evaluate`` in ``tests/rng/test_icdf.py``)
+and ``icdf_cuda`` through the same ufuncs over a whole block.  The
+Hypothesis differential ``tests/core/test_gamma_lanes_properties.py``
+asserts identical device memory, reports, tick states and RNG
+statistics against the scalar tick.
 
 Gated twisters are replayed with peek semantics: a disabled step
 outputs the *next unconsumed* word without advancing, so the uniform an
@@ -42,21 +41,18 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.kernel import GammaKernelConfig, GammaRNGProcess
-from repro.core.stream import Stream
-from repro.obs.stall import COMPUTE, FIFO_FULL, PIPELINE
+from repro.rng.box_muller import box_muller_pair
 from repro.rng.gamma import marsaglia_tsang_constants
-from repro.rng.icdf import IcdfFpga
+from repro.rng.icdf import icdf_cuda_style
 from repro.rng.uniform import uint_to_float, uint_to_symmetric
 
-__all__ = ["GammaLaneStream", "VectorGammaRNGProcess", "DEFAULT_BLOCK"]
+__all__ = ["GammaLaneStream", "DEFAULT_BLOCK"]
 
 #: MAINLOOP iterations precomputed per refill.
 DEFAULT_BLOCK = 256
 
-#: Sector-advance marker in the record stream (the exit-check tick that
-#: consumes no RNG words).
-_ADVANCE = object()
+#: transforms that draw a word from ``mt_norm_b`` every iteration
+_TWO_STREAM = ("marsaglia_bray", "box_muller")
 
 
 class _BufferedMT:
@@ -88,15 +84,21 @@ class _BufferedMT:
         self._pos += count
 
 
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar libm function) applied lane by lane."""
+    return np.array([fn(x) for x in values.tolist()], dtype=np.float64)
+
+
 class GammaLaneStream:
-    """Block-vectorized replay of the Listing 2 MAINLOOP.
+    """Block-computed replay of the Listing 2 MAINLOOP.
 
     Yields, via :meth:`pop`, one record per kernel tick:
 
-    * ``(ok, wrote, value, bubbles)`` for a MAINLOOP iteration — the
+    * ``(ok, wrote, value, stall)`` for a MAINLOOP iteration — the
       acceptance flag, the guarded-write flag, the scaled gamma (only
-      when written), and the gated-MT bubble cycles of the iteration;
-    * the sector-advance sentinel for each exit-check tick.
+      when written), and the stall cycles that follow the iteration
+      (II bubbles plus gated-MT flushes);
+    * ``None`` for each exit-check tick (a sector advance).
 
     The MAINLOOP exit condition is replayed in closed form: with the
     delayed counter the exit test at iteration ``i`` reads the counter
@@ -104,17 +106,21 @@ class GammaLaneStream:
     exactly ``min(limit_max, k_hit + 1 + break_id + 1)`` iterations,
     where ``k_hit`` is the iteration producing the ``limit_main``-th
     accepted value (naive exit: ``min(limit_max, k_hit + 1)``).
+
+    ``facades`` are the work-item's four twister façades
+    ``(norm_a, norm_b, reject, correct)``; their ``steps``/``held``
+    counters advance as the scalar tick would advance them.  ``icdf``
+    is the (shared) ROM of the ``icdf_fpga`` transform.
     """
 
-    def __init__(self, config: GammaKernelConfig, facades, block: int = DEFAULT_BLOCK):
-        if config.transform != "marsaglia_bray":
-            raise ValueError(
-                "vectorized lanes support the marsaglia_bray transform "
-                f"only (got {config.transform!r}); use the scalar kernel"
-            )
+    def __init__(self, config, facades, icdf=None, block: int = DEFAULT_BLOCK):
+        if config.transform == "icdf_fpga" and icdf is None:
+            raise ValueError("the icdf_fpga transform needs its IcdfFpga ROM")
         self._cfg = config
-        self._facades = facades  # (norm_a, norm_b, reject, correct)
+        self._facades = facades
         self._bufs = [_BufferedMT(f._mt) for f in facades]
+        self._icdf = icdf
+        self._two_stream = config.transform in _TWO_STREAM
         self._block = block
         self._queue: deque = deque()
         self._bubble = facades[0].bubble_cycles
@@ -125,7 +131,6 @@ class GammaLaneStream:
         self._k = 0  # iterations executed in the current sector
         self._oks = 0  # accepted iterations in the current sector
         self._k_hit: int | None = None  # iteration of the limit-th accept
-        self.finished = False
 
     # -- closed-form exit ----------------------------------------------------------
 
@@ -138,15 +143,45 @@ class GammaLaneStream:
 
     # -- block generation ----------------------------------------------------------
 
+    def _normals(self, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(n0, n0_valid)`` of the next ``window`` iterations, as the
+        scalar ``_normal_candidate`` computes them."""
+        transform = self._cfg.transform
+        wa = self._bufs[0].peek(window)
+        if transform == "icdf_fpga":
+            values, valid = self._icdf.evaluate_batch(wa)
+            return values.astype(np.float64), valid
+        always = np.ones(window, dtype=bool)
+        if transform == "icdf_cuda":
+            z = icdf_cuda_style(uint_to_float(wa))
+            return z.astype(np.float64), always
+        wb = self._bufs[1].peek(window)
+        if transform == "box_muller":
+            u1 = uint_to_float(wa).tolist()
+            u2 = uint_to_float(wb).tolist()
+            # libm log/cos per lane: numpy's are not bit-identical
+            z0 = [box_muller_pair(a, b)[0] for a, b in zip(u1, u2)]
+            return np.array(z0, dtype=np.float64), always
+        # marsaglia_bray over the two free-running twisters
+        u1s = uint_to_symmetric(wa).astype(np.float64)
+        u2s = uint_to_symmetric(wb).astype(np.float64)
+        s = u1s * u1s + u2s * u2s
+        valid = (s < 1.0) & (s != 0.0)
+        n0 = np.zeros(window, dtype=np.float64)
+        idx = np.nonzero(valid)[0]
+        if idx.size:
+            sv = s[idx]
+            n0[idx] = u1s[idx] * np.sqrt((-2.0 * _libm(math.log, sv)) / sv)
+        return n0, valid
+
     def _refill(self) -> None:
         cfg = self._cfg
         exit_k = self._exit_k()
         if self._k >= exit_k:
             # the next tick observes the exit condition: sector advance
-            self._queue.append(_ADVANCE)
+            self._queue.append(None)
             self._sector += 1
             if self._sector >= cfg.sectors:
-                self.finished = True
                 return
             variance = cfg.sector_variances[self._sector]
             self._consts = marsaglia_tsang_constants(1.0 / variance)
@@ -159,21 +194,7 @@ class GammaLaneStream:
         window = min(self._block, exit_k - self._k)
         consts = self._consts
         limit = cfg.limit_main
-
-        # Marsaglia-Bray normal candidates over the two free-running MTs
-        wa = self._bufs[0].peek(window)
-        wb = self._bufs[1].peek(window)
-        u1s = uint_to_symmetric(wa).astype(np.float64)
-        u2s = uint_to_symmetric(wb).astype(np.float64)
-        s = u1s * u1s + u2s * u2s
-        n0_valid = (s < 1.0) & (s != 0.0)
-        n0 = np.zeros(window, dtype=np.float64)
-        valid_idx = np.nonzero(n0_valid)[0]
-        if valid_idx.size:
-            sv = s[valid_idx]
-            # libm log per lane: np.log is not bit-identical to math.log
-            logs = np.array([math.log(x) for x in sv.tolist()], dtype=np.float64)
-            n0[valid_idx] = u1s[valid_idx] * np.sqrt((-2.0 * logs) / sv)
+        n0, n0_valid = self._normals(window)
 
         # gated rejection uniforms: iteration j peeks the word indexed
         # by the count of enabled (valid-normal) steps before it
@@ -189,12 +210,8 @@ class GammaLaneStream:
         g_valid = t_pos & (u1 < 1.0 - 0.0331 * (n0 * n0) * (n0 * n0))
         full_idx = np.nonzero(t_pos & ~g_valid)[0]
         if full_idx.size:
-            lhs = np.array(
-                [math.log(x) for x in u1[full_idx].tolist()], dtype=np.float64
-            )
-            logv = np.array(
-                [math.log(x) for x in v[full_idx].tolist()], dtype=np.float64
-            )
+            lhs = _libm(math.log, u1[full_idx])
+            logv = _libm(math.log, v[full_idx])
             xs = n0[full_idx]
             accept = lhs < 0.5 * xs * xs + consts.d * (1.0 - v[full_idx] + logv)
             g_valid[full_idx[accept]] = True
@@ -228,105 +245,37 @@ class GammaLaneStream:
                     gamma = gamma * (float(u2[j]) ** consts.inv_alpha)
                 values[i] = gamma * self._scale
 
+        # II bubbles, plus a flush per gated-off naive twister
+        stalls = np.full(executed, cfg.ii - 1, dtype=np.int64)
         if self._bubble:
-            bubbles = self._bubble * (
+            stalls += self._bubble * (
                 (~valid_e).astype(np.int64) + (~ok_e).astype(np.int64)
             )
-        else:
-            bubbles = np.zeros(executed, dtype=np.int64)
 
         # commit exactly the words the executed iterations consumed
         n_valid = int(np.count_nonzero(valid_e))
         n_ok = int(np.count_nonzero(ok_e))
-        self._bufs[0].consume(executed)
-        self._bufs[1].consume(executed)
-        self._bufs[2].consume(n_valid)
-        self._bufs[3].consume(n_ok)
         norm_a, norm_b, reject, correct = self._facades
+        self._bufs[0].consume(executed)
         norm_a.steps += executed
-        norm_b.steps += executed
+        if self._two_stream:
+            self._bufs[1].consume(executed)
+            norm_b.steps += executed
+        self._bufs[2].consume(n_valid)
         reject.steps += executed
         reject.held += executed - n_valid
+        self._bufs[3].consume(n_ok)
         correct.steps += executed
         correct.held += executed - n_ok
         self._k += executed
         self._oks += n_ok
         self._queue.extend(
-            zip(ok_e.tolist(), wrote.tolist(), values, bubbles.tolist())
+            zip(ok_e.tolist(), wrote.tolist(), values, stalls.tolist())
         )
 
     def pop(self):
-        """The next tick's record (an iteration tuple or ``_ADVANCE``)."""
+        """The next tick's record (an iteration tuple, or ``None`` for a
+        sector advance)."""
         while not self._queue:
             self._refill()
         return self._queue.popleft()
-
-
-class VectorGammaRNGProcess(GammaRNGProcess):
-    """Drop-in gamma work-item consuming precomputed lane records.
-
-    Identical cycle accounting, stream traffic, statistics, and output
-    values to :class:`~repro.core.kernel.GammaRNGProcess` — only the
-    per-iteration mathematics is hoisted into
-    :class:`GammaLaneStream` blocks.  Restricted to the
-    ``marsaglia_bray`` transform (the paper's Table I FPGA design).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        wid: int,
-        config: GammaKernelConfig,
-        sink: Stream,
-        icdf_table: IcdfFpga | None = None,
-        block: int = DEFAULT_BLOCK,
-    ):
-        super().__init__(name, wid, config, sink, icdf_table)
-        self._lanes = GammaLaneStream(
-            config,
-            (self.mt_norm_a, self.mt_norm_b, self.mt_reject, self.mt_correct),
-            block=block,
-        )
-        # the overridden tick preserves the pending/stall-budget
-        # semantics the inherited next_event/skip_cycles hints describe,
-        # so the cycle-skipping fast path stays valid
-        self._hintable = True
-
-    def tick(self, cycle: int) -> str:
-        if self._pending is not None:
-            if not self.sink.can_write(cycle):
-                return self._account(FIFO_FULL)
-            self.sink.write(self._pending)
-            self._pending = None
-            return self._account(COMPUTE)
-
-        if self._stall_budget > 0:
-            self._stall_budget -= 1
-            return self._account(PIPELINE)
-
-        record = self._lanes.pop()
-        if record is _ADVANCE:
-            self._sector += 1
-            if self._sector >= self.config.sectors:
-                self._done = True
-                self.sink.close()
-                return self._account(COMPUTE)
-            self._enter_sector(self._sector)
-            return self._account(COMPUTE)
-
-        ok, wrote, value, bubbles = record
-        self.attempts += 1
-        self.stats.iterations += 1
-        if wrote:
-            self.accepts += 1
-            self.produced.append(value)
-            self.outputs_produced += 1
-            if self.sink.can_write(cycle):
-                self.sink.write(value)
-            else:
-                self._pending = value
-        elif ok:
-            self.overrun_iterations += 1
-        self._k += 1
-        self._stall_budget = self.config.ii - 1 + bubbles
-        return self._account(COMPUTE)

@@ -337,6 +337,7 @@ def _build(
     *,
     pipelined: bool,
     pipe_depth: int | None = None,
+    kernel_cls: type = GammaRNGProcess,
 ) -> _PipelineBuild:
     depth = config.pipe_depth if pipe_depth is None else pipe_depth
     link_cls = Pipe if pipelined else Stream
@@ -357,7 +358,7 @@ def _build(
         priced = link_cls(f"pricedPipe{wid}", depth=depth)
         raw = Stream(f"rawStream{wid}", depth=config.stream_depth)
         kernels.append(
-            GammaRNGProcess(f"GammaRNG{wid}", wid, config.kernel, gamma)
+            kernel_cls(f"GammaRNG{wid}", wid, config.kernel, gamma)
         )
         pricers.append(
             PricingProcess(

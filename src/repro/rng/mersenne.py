@@ -127,12 +127,13 @@ class MersenneTwister:
     def seed(self, seed: int) -> None:
         """(Re)initialize state from a 32-bit seed (MT2002 init scheme)."""
         p = self.params
-        state = self._state
-        state[0] = seed & p.word_mask
-        prev = int(state[0])
+        mask, f, shift = p.word_mask, p.f, p.w - 2
+        prev = seed & mask
+        words = [prev]
         for i in range(1, p.n):
-            prev = (p.f * (prev ^ (prev >> (p.w - 2))) + i) & p.word_mask
-            state[i] = prev
+            prev = (f * (prev ^ (prev >> shift)) + i) & mask
+            words.append(prev)
+        self._state[:] = words
         self._index = p.n
 
     def get_state(self) -> tuple[np.ndarray, int]:

@@ -1,25 +1,34 @@
-"""Differential bit-identity: vectorized lanes vs the scalar kernel.
+"""Differential bit-identity: the lane-backed work-item vs the scalar tick.
 
 The contract of :mod:`repro.core.lanes` is *bit-for-bit equivalence*:
-``DecoupledConfig(vector_lanes=True)`` must produce the same device
-memory contents, the same ``RegionReport`` (cycles, per-process
-buckets, stream counters), the same RNG statistics, and the same
-produced values as the scalar ``GammaRNGProcess`` — across sector
-counts, exit-condition styles, gated-MT ablations, ``break_id`` depths,
-and Mersenne-Twister parameterizations.
+the production :class:`~repro.core.kernel.GammaRNGProcess` must produce
+the same device memory contents, the same ``RegionReport`` (cycles,
+per-process buckets, stream counters), the same RNG statistics, and the
+same produced values as :class:`~repro.core.kernel.ReferenceGammaRNGProcess`
+— across sector counts, exit-condition styles, gated-MT ablations,
+``break_id`` depths, Mersenne-Twister parameterizations and all four
+transforms.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.core.decoupled import DecoupledConfig, DecoupledWorkItems
-from repro.core.kernel import GammaKernelConfig
-from repro.core.lanes import GammaLaneStream, VectorGammaRNGProcess
+from repro.core.kernel import (
+    GammaKernelConfig,
+    GammaRNGProcess,
+    ReferenceGammaRNGProcess,
+)
 from repro.core.stream import Stream
 from repro.rng.mersenne import MT521_PARAMS
 
 from .test_fastpath_equivalence import channel_fields, report_fields
+
+
+class ReferenceItems(DecoupledWorkItems):
+    """The decoupled region built from the scalar reference work-item."""
+
+    _kernel_cls = ReferenceGammaRNGProcess
+
 
 LANE_CONFIGS = {
     "default": DecoupledConfig(
@@ -60,14 +69,23 @@ LANE_CONFIGS = {
             limit_main=64, mt_params=MT521_PARAMS, mt_family=True
         ),
     ),
+    **{
+        transform: DecoupledConfig(
+            n_work_items=2,
+            kernel=GammaKernelConfig(
+                transform=transform,
+                limit_main=64,
+                sector_variances=(1.39, 0.7),
+            ),
+        )
+        for transform in ("icdf_fpga", "icdf_cuda", "box_muller")
+    },
 }
 
 
 def run_pair(config, fast_path=True):
-    scalar = DecoupledWorkItems(config)
-    vector = DecoupledWorkItems(
-        dataclasses.replace(config, vector_lanes=True)
-    )
+    scalar = ReferenceItems(config)
+    vector = DecoupledWorkItems(config)
     return (
         (scalar, scalar.run(fast_path=fast_path)),
         (vector, vector.run(fast_path=fast_path)),
@@ -93,16 +111,19 @@ def test_lane_configs_bit_identical(name):
 
 
 def test_gated_twister_statistics_identical():
-    """steps/held of every facade twister match the scalar gating."""
-    (s_items, _), (v_items, _) = run_pair(LANE_CONFIGS["default"])
-    for s_k, v_k in zip(s_items.kernels, v_items.kernels):
-        for role in ("mt_norm_a", "mt_norm_b", "mt_reject", "mt_correct"):
-            s_mt, v_mt = getattr(s_k, role), getattr(v_k, role)
-            assert (s_mt.steps, s_mt.held) == (v_mt.steps, v_mt.held)
-            assert s_mt.hold_fraction == v_mt.hold_fraction
+    """steps/held of every facade twister match the scalar gating, for
+    every transform (the ICDF transforms never step ``mt_norm_b``)."""
+    for name in ("default", "icdf_fpga", "icdf_cuda", "box_muller"):
+        (s_items, _), (v_items, _) = run_pair(LANE_CONFIGS[name])
+        for s_k, v_k in zip(s_items.kernels, v_items.kernels):
+            for role in ("mt_norm_a", "mt_norm_b", "mt_reject", "mt_correct"):
+                s_mt, v_mt = getattr(s_k, role), getattr(v_k, role)
+                assert (s_mt.steps, s_mt.held) == (v_mt.steps, v_mt.held)
+                assert s_mt.hold_fraction == v_mt.hold_fraction
+            assert (v_k.mt_norm_b.steps == 0) == name.startswith("icdf")
 
 
-def test_vector_lanes_on_reference_loop_identical():
+def test_lanes_on_reference_loop_identical():
     """Bit-identity holds on the reference loop too (no fast path)."""
     (s_items, s_res), (v_items, v_res) = run_pair(
         LANE_CONFIGS["default"], fast_path=False
@@ -113,42 +134,25 @@ def test_vector_lanes_on_reference_loop_identical():
 
 
 def test_vector_process_keeps_fast_path_hints():
-    """The overridden tick re-arms the inherited hints: runs still skip."""
-    vector = DecoupledWorkItems(
-        dataclasses.replace(LANE_CONFIGS["depth1_streams"], vector_lanes=True)
-    )
+    """The lane-backed tick keeps the hints armed: runs still skip."""
+    vector = DecoupledWorkItems(LANE_CONFIGS["depth1_streams"])
     vector.run()
     assert vector.region.skipped_cycles > 0
 
 
-def test_vector_lanes_instrumented_run_consistent():
+def test_lanes_instrumented_run_consistent():
     from repro.obs.stall import StallAttribution
 
-    vector = DecoupledWorkItems(
-        dataclasses.replace(LANE_CONFIGS["default"], vector_lanes=True)
-    )
+    vector = DecoupledWorkItems(LANE_CONFIGS["default"])
     attribution = StallAttribution(vector.region.name)
     report = vector.region.run(attribution=attribution)
     assert report.stall_report.consistent_with(report.process_stats) == []
 
 
-def test_vector_lanes_rejects_other_transforms():
-    with pytest.raises(ValueError, match="marsaglia_bray"):
-        DecoupledConfig(
-            n_work_items=1,
-            kernel=GammaKernelConfig(transform="icdf_fpga", limit_main=64),
-            vector_lanes=True,
-        )
-    with pytest.raises(ValueError, match="marsaglia_bray"):
-        GammaLaneStream(
-            GammaKernelConfig(transform="box_muller", limit_main=64), ()
-        )
-
-
 def test_vector_process_direct_construction():
-    """The process is usable standalone, like GammaRNGProcess."""
+    """The process is usable standalone, outside any region."""
     sink = Stream("out", depth=4)
-    proc = VectorGammaRNGProcess(
+    proc = GammaRNGProcess(
         "k", 0, GammaKernelConfig(limit_main=64), sink
     )
     cycle = 0

@@ -200,3 +200,53 @@ def test_prop_lower_half_negative(u):
         # p < 0.5 → non-positive quantile (fixed-point rounding can
         # flatten the near-median magnitude to -0.0)
         assert v <= 0.0
+
+
+def _assert_batch_is_scalar(table, words):
+    """``evaluate_batch`` equals ``evaluate`` word for word: the same
+    ``valid`` flag and the same float32 bits."""
+    values, valid = table.evaluate_batch(np.array(words, dtype=np.uint32))
+    for word, value, ok in zip(words, values, valid.tolist()):
+        scalar, scalar_ok = table.evaluate(word)
+        assert ok == scalar_ok, word
+        assert np.float32(scalar).view(np.uint32) == value.view(np.uint32), word
+
+
+@given(words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_prop_batch_bits_equal_scalar(words):
+    _assert_batch_is_scalar(_TDEF, words)
+
+
+def test_batch_bits_equal_scalar_at_bit_length_boundaries():
+    """``evaluate_batch`` takes the bit length from ``np.log2``; pin it
+    at every ``2**k - 1``, ``2**k`` and ``2**k + 1`` with the sign bit
+    clear and set."""
+    magnitudes = {
+        m
+        for k in range(32)
+        for m in ((1 << k) - 1, 1 << k, (1 << k) + 1)
+        if m <= 0x7FFFFFFF
+    }
+    words = sorted(m | sign for m in magnitudes for sign in (0, 1 << 31))
+    for table in (_TDEF, _T20):
+        _assert_batch_is_scalar(table, words)
+
+
+def test_cuda_style_block_bits_equal_per_word_calls():
+    """The gamma lanes transform a whole block with one
+    ``icdf_cuda_style`` call; every lane equals the one-word call the
+    scalar kernel makes, bit for bit (tail branch included)."""
+    from repro.rng.uniform import uint_to_float
+
+    rng = np.random.default_rng(11)
+    edge = [0, 1, 511, 512, 2**31, 2**32 - 513, 2**32 - 1]
+    words = np.concatenate(
+        [rng.integers(0, 2**32, 4096, dtype=np.uint64), edge]
+    ).astype(np.uint32)
+    u = uint_to_float(words)
+    block = icdf_cuda_style(u)
+    for i, ui in enumerate(u.tolist()):
+        assert np.float32(icdf_cuda_style(ui)).view(np.uint32) == block[i].view(
+            np.uint32
+        )

@@ -108,6 +108,24 @@ class TestScalarApi:
         with pytest.raises(ValueError):
             mt.set_state(np.zeros(5, dtype=np.uint32), 0)
 
+    @pytest.mark.parametrize("params", [MT19937_PARAMS, MT521_PARAMS])
+    @pytest.mark.parametrize("seed", [0, 1, 5489, 2**32 - 1])
+    def test_seed_state_equals_per_word_recurrence(self, params, seed):
+        """``seed`` builds the MT2002 init words in one pass; the state
+        equals the recurrence stored word by word."""
+        mask = (1 << params.w) - 1
+        expected = np.zeros(params.n, dtype=np.uint32)
+        expected[0] = seed & mask
+        for i in range(1, params.n):
+            prev = int(expected[i - 1])
+            expected[i] = (
+                params.f * (prev ^ (prev >> (params.w - 2))) + i
+            ) & mask
+        state, index = MersenneTwister(params, seed=seed).get_state()
+        assert state.dtype == np.uint32
+        assert np.array_equal(state, expected)
+        assert index == params.n
+
 
 class TestVectorizedApi:
     @pytest.mark.parametrize("params", [MT19937_PARAMS, MT521_PARAMS])
