@@ -35,21 +35,7 @@ import sys
 import time
 
 from repro.harness import registry
-
-
-def _experiments() -> dict:
-    """name → runner, resolved from the registry at call time."""
-    return registry.runners()
-
-
-# kept as a module attribute for backwards compatibility (tests and
-# downstream tooling import it); reflects the registry at import time
-EXPERIMENTS = _experiments()
-
-
-# the coercion lives in the harness now so the campaign store shares
-# it; the old private name stays importable for downstream tooling
-from repro.harness.reporting import jsonable as _jsonable  # noqa: E402
+from repro.harness.reporting import jsonable
 
 
 def result_record(name: str, result, elapsed_s: float) -> dict:
@@ -62,19 +48,19 @@ def result_record(name: str, result, elapsed_s: float) -> dict:
     headers = getattr(result, "headers", None)
     rows = getattr(result, "rows", None)
     if headers and rows:
-        record["headers"] = _jsonable(headers)
-        record["rows"] = _jsonable(rows)
+        record["headers"] = jsonable(headers)
+        record["rows"] = jsonable(rows)
         # key scalars: the first row, labelled by header — enough for
         # dashboards without shipping the full series payloads
         record["scalars"] = {
-            str(h): _jsonable(v) for h, v in zip(headers, rows[0])
+            str(h): jsonable(v) for h, v in zip(headers, rows[0])
         }
     notes = getattr(result, "notes", "")
     if notes:
         record["notes"] = notes
     series = getattr(result, "series", None)
     if series:
-        record["series"] = _jsonable(series)
+        record["series"] = jsonable(series)
     return record
 
 
@@ -158,7 +144,9 @@ def main(argv: list[str] | None = None) -> int:
         from repro.campaign.cli import main as campaign_main
 
         return campaign_main(raw[1:])
-    experiments = _experiments()
+    # names only: a lazy runner (the engine, the serving tier) is
+    # imported when it is selected, not to print the help
+    experiments = registry.experiment_names()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's tables and figures.",
@@ -248,7 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     fault_aware: set[str] = set()
     if args.faults is not None:
         fault_aware = {
-            name for name in selected if _accepts_faults(experiments[name])
+            name
+            for name in selected
+            if _accepts_faults(registry.get_runner(name))
         }
         if not fault_aware:
             parser.error(
@@ -286,11 +276,12 @@ def main(argv: list[str] | None = None) -> int:
     for name in selected:
         t0 = time.perf_counter()
         kwargs = {"faults": args.faults} if name in fault_aware else {}
+        runner = registry.get_runner(name)
         if tracer is not None:
             with tracer.span(tracer.track("harness", "experiments"), name):
-                result = experiments[name](**kwargs)
+                result = runner(**kwargs)
         else:
-            result = experiments[name](**kwargs)
+            result = runner(**kwargs)
         elapsed = time.perf_counter() - t0
         if args.json:
             records.append(result_record(name, result, elapsed))

@@ -278,7 +278,6 @@ class ExecutionEngine:
         self._state_lock = threading.Lock()
         self._admitted = 0
         self._resolved = 0
-        self._attempts: dict[int, int] = {}  # job_id -> dispatch count
         self._timer = TimerThread()
         self._dispatcher: threading.Thread | None = None
         self._started = False
@@ -304,12 +303,13 @@ class ExecutionEngine:
             built = dict(breakers)
         for name, breaker in built.items():
             if breaker.on_transition is None:
-                breaker.on_transition = (
-                    lambda old, new, _name=name: self._on_breaker_transition(
-                        _name, old, new
-                    )
-                )
+                self._wire_breaker(name, breaker)
         return built
+
+    def _wire_breaker(self, name: str, breaker: CircuitBreaker) -> None:
+        breaker.on_transition = (
+            lambda old, new: self._on_breaker_transition(name, old, new)
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -363,11 +363,7 @@ class ExecutionEngine:
         breaker = None
         if self._breakers_enabled:
             breaker = CircuitBreaker(**(self._breaker_config or {}))
-            breaker.on_transition = (
-                lambda old, new, _name=worker.name: self._on_breaker_transition(
-                    _name, old, new
-                )
-            )
+            self._wire_breaker(worker.name, breaker)
         self.pool.add_worker(worker, breaker)
         self.metrics.counter("workers_added").inc()
         return worker.name
@@ -602,7 +598,6 @@ class ExecutionEngine:
         handle._fulfill(result, error)
         with self._state_lock:
             self._resolved += 1
-            self._attempts.pop(handle.job.job_id, None)
 
     def _expire_job(self, job: Job) -> None:
         """Deadline watchdog / batcher shed: fail the handle if pending."""
@@ -634,26 +629,18 @@ class ExecutionEngine:
                 args={"worker": worker, "from": old, "to": new},
             )
 
-    def _retry_candidate(self, job: Job, error: BaseException) -> bool:
-        """Should this failed job go back out to a different worker?"""
-        if self._shut_down:
-            return False
-        if not self.retry_policy.retryable(error):
-            return False
-        if job.expired():
+    def _retry_candidate(self, job: Job, error: BaseException, attempts: int) -> bool:
+        """Should this job, failed on its ``attempts``-th try, go back out?"""
+        if self._shut_down or job.expired():
             return False
         with self._state_lock:
             if job.job_id not in self._handles:
                 return False  # watchdog already resolved it
-            attempts = self._attempts.get(job.job_id, 1)
-        return attempts < self.retry_policy.max_attempts
+        return self.retry_policy.should_retry(error, attempts)
 
     def _schedule_retry(self, jobs: list[Job], outcome: BatchOutcome) -> None:
         """Re-dispatch failed jobs after backoff, avoiding the failed worker."""
-        with self._state_lock:
-            attempt = max(self._attempts.get(j.job_id, 1) for j in jobs) + 1
-            for j in jobs:
-                self._attempts[j.job_id] = attempt
+        attempt = outcome.batch.attempt + 1
         self.metrics.counter("job_retries").inc(len(jobs))
         avoid = frozenset(outcome.batch.avoid | {outcome.worker})
         retry_batch = Batch(jobs=jobs, attempt=attempt, avoid=avoid)
@@ -749,7 +736,9 @@ class ExecutionEngine:
                         else {}
                     ),
                 )
-            if error is not None and self._retry_candidate(job, error):
+            if error is not None and self._retry_candidate(
+                job, error, outcome.batch.attempt
+            ):
                 retry_jobs.append(job)
                 continue  # the handle stays pending until the retry lands
             with self._state_lock:

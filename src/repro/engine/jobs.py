@@ -27,6 +27,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Hashable
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.finance.portfolio import Portfolio
 from repro.harness.configs import CONFIGURATIONS
 from repro.rng.gamma import gamma_samples
 
-__all__ = ["Job", "GammaJob", "PortfolioJob", "JobResult"]
+__all__ = ["Job", "GammaJob", "PortfolioJob", "JobResult", "gamma_device_seconds"]
 
 _job_ids = itertools.count(1)
 _job_ids_lock = threading.Lock()
@@ -133,15 +134,6 @@ class GammaJob(Job):
     def batch_key(self) -> Hashable:
         return ("gamma", self.config, self.variance)
 
-    def rejection_rate(self) -> float:
-        cfg = CONFIGURATIONS[self.config]
-        key = (
-            "marsaglia_bray"
-            if cfg.transform == "marsaglia_bray"
-            else "icdf_fpga"
-        )
-        return 1.0 - measured_path_rates(key, self.variance).combined_accept
-
     def compute(self) -> np.ndarray:
         return gamma_samples(
             1.0 / self.variance,
@@ -151,18 +143,37 @@ class GammaJob(Job):
         ).astype(np.float32)
 
     def device_seconds(self, model: FpgaModel | FixedArchitectureModel) -> float:
-        if isinstance(model, FpgaModel):
-            return model.estimate(
-                self.n_samples, 1, self.rejection_rate()
-            ).seconds
-        # fixed platforms: scale the calibrated full-workload estimate is
-        # overkill for a single sector draw; bill pipeline attempts at
-        # the device clock as a first-order stand-in
-        attempts = self.n_samples * (1.0 + self.rejection_rate())
-        return attempts / model.device.frequency_hz
+        return gamma_device_seconds(
+            model, self.config, self.variance, self.n_samples
+        )
 
     def result_bytes(self) -> int:
         return self.n_samples * 4
+
+
+@lru_cache(maxsize=256)
+def _rejection_rate(config: str, variance: float) -> float:
+    transform = CONFIGURATIONS[config].transform
+    key = "marsaglia_bray" if transform == "marsaglia_bray" else "icdf_fpga"
+    return 1.0 - measured_path_rates(key, variance).combined_accept
+
+
+def _kernel_seconds(model, outputs: int, sectors: int, rejection: float) -> float:
+    if isinstance(model, FpgaModel):
+        return model.estimate(outputs, sectors, rejection).seconds
+    # fixed platforms: scale the calibrated full-workload estimate is
+    # overkill for a single sector draw; bill pipeline attempts at
+    # the device clock as a first-order stand-in
+    return outputs * (1.0 + rejection) / model.device.frequency_hz
+
+
+def gamma_device_seconds(
+    model, config: str, variance: float, n_samples: int
+) -> float:
+    """Modeled kernel time of ``n_samples`` gamma variates on ``model``."""
+    return _kernel_seconds(
+        model, n_samples, 1, _rejection_rate(config, variance)
+    )
 
 
 @dataclass
@@ -203,14 +214,12 @@ class PortfolioJob(Job):
 
     def device_seconds(self, model: FpgaModel | FixedArchitectureModel) -> float:
         sectors = len(self.portfolio.sectors)
-        draws = self.scenarios * sectors
         rejection = 1.0 - measured_path_rates(
             "marsaglia_bray", self.portfolio.sectors[0].variance
         ).combined_accept
-        if isinstance(model, FpgaModel):
-            return model.estimate(draws, sectors, rejection).seconds
-        attempts = draws * (1.0 + rejection)
-        return attempts / model.device.frequency_hz
+        return _kernel_seconds(
+            model, self.scenarios * sectors, sectors, rejection
+        )
 
     def result_bytes(self) -> int:
         return self.scenarios * 8  # one float64 loss per scenario

@@ -32,7 +32,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.devices import FixedArchitectureModel, FpgaModel
 from repro.engine.batcher import Batch
@@ -108,9 +108,25 @@ class DeviceWorker:
         with self._timeline_lock:
             return self._timeline_s
 
-    def estimate_batch_seconds(self, batch: Batch) -> float:
-        """Modeled cost of a batch on *this* worker (dispatch heuristic)."""
-        return sum(job.device_seconds(self.model) for job in batch.jobs)
+    def price(
+        self, jobs: Sequence[Job], ran: Sequence[bool] | None = None
+    ) -> tuple[list[float], float]:
+        """Modeled cost of one batch on this worker, for both tiers.
+
+        Returns each job's kernel seconds under this worker's model (0
+        where ``ran`` is False) and the seconds of the one combined
+        readback, rounded up to whole 32-bit words (§III-E).  The live
+        :meth:`execute` and the virtual tier's attempts both call it.
+        """
+        if ran is None:
+            ran = [True] * len(jobs)
+        kernel = [
+            job.device_seconds(self.model) if ok else 0.0
+            for job, ok in zip(jobs, ran)
+        ]
+        nbytes = sum(job.result_bytes() for job in jobs)
+        readback = self.device.pcie_seconds(max(4, -(-nbytes // 4) * 4))
+        return kernel, readback
 
     # -- execution ---------------------------------------------------------------
 
@@ -130,46 +146,33 @@ class DeviceWorker:
             self.fault_plan.before_batch(self.name, batch, self.batches_done)
         payloads: list[Any] = []
         errors: list[BaseException | None] = []
-        device_seconds: list[float] = []
         for job in batch.jobs:
+            payload = error = None
             if job.expired():
                 # the deadline passed between dispatch and device
                 # execution: shed instead of burning device time
-                payloads.append(None)
-                device_seconds.append(0.0)
-                errors.append(
-                    JobDeadlineExceeded(
-                        f"job {job.job_id} expired before device "
-                        f"execution on worker {self.name!r}"
-                    )
+                error = JobDeadlineExceeded(
+                    f"job {job.job_id} expired before device "
+                    f"execution on worker {self.name!r}"
                 )
-                continue
-            injected = (
-                None
-                if self.fault_plan is None
-                else self.fault_plan.job_fault(self.name, job)
-            )
-            if injected is not None:
-                payloads.append(None)
-                device_seconds.append(0.0)
-                errors.append(injected)
-                continue
-            try:
-                payloads.append(job.compute())
-                device_seconds.append(job.device_seconds(self.model))
-                errors.append(None)
-            except Exception as exc:  # job-level fault isolation
-                payloads.append(None)
-                device_seconds.append(0.0)
-                errors.append(exc)
+            elif self.fault_plan is not None:
+                error = self.fault_plan.job_fault(self.name, job)
+            if error is None:
+                try:
+                    payload = job.compute()
+                except Exception as exc:  # job-level fault isolation
+                    error = exc
+            payloads.append(payload)
+            errors.append(error)
+        device_seconds, readback_s = self.price(
+            batch.jobs, [error is None for error in errors]
+        )
         # one device transaction on the in-order queue: the kernel
         # launch, then one combined readback (§III-E)
-        kernel_s = float(sum(device_seconds))
-        nbytes = max(4, -(-batch.result_bytes() // 4) * 4)
         with self._timeline_lock:
             t0 = self._timeline_s
-            kernel_end = t0 + kernel_s
-            end = kernel_end + self.device.pcie_seconds(nbytes)
+            kernel_end = t0 + float(sum(device_seconds))
+            end = kernel_end + readback_s
             self._timeline_s = end
             if tracer.enabled:
                 # the two commands as spans on the modeled clock domain
@@ -374,14 +377,17 @@ class WorkerPool:
             raise RuntimeError("pool already started")
         self._started = True
         for worker in self.workers:
-            t = threading.Thread(
-                target=self._run_worker,
-                args=(worker,),
-                name=f"repro-engine-{worker.name}",
-                daemon=True,
-            )
-            self._threads.append(t)
-            t.start()
+            self._spawn(worker)
+
+    def _spawn(self, worker: DeviceWorker) -> None:
+        t = threading.Thread(
+            target=self._run_worker,
+            args=(worker,),
+            name=f"repro-engine-{worker.name}",
+            daemon=True,
+        )
+        self._threads.append(t)
+        t.start()
 
     # -- elastic capacity (the autoscaler's hooks) -------------------------------
 
@@ -420,14 +426,7 @@ class WorkerPool:
             started = self._started
             self._work_ready.notify_all()
         if started:
-            t = threading.Thread(
-                target=self._run_worker,
-                args=(worker,),
-                name=f"repro-engine-{worker.name}",
-                daemon=True,
-            )
-            self._threads.append(t)
-            t.start()
+            self._spawn(worker)
 
     def remove_worker(self, name: str) -> None:
         """Retire one worker: it finishes its current batch, then exits.
@@ -507,7 +506,7 @@ class WorkerPool:
                 self._shared.append(batch)
             else:
                 self._private[target.name].append(batch)
-                estimate = target.estimate_batch_seconds(batch)
+                estimate = sum(target.price(batch.jobs)[0])
                 self._pending_seconds[target.name] += estimate
                 self._counted[batch.batch_id] = (target.name, estimate)
             self._inflight += 1

@@ -136,6 +136,10 @@ class RetryPolicy:
         """Only worker-level faults are worth a different worker."""
         return isinstance(error, WorkerFault)
 
+    def should_retry(self, error: BaseException, attempts: int) -> bool:
+        """Retry a job that failed with ``error`` on its ``attempts``-th try?"""
+        return self.retryable(error) and attempts < self.max_attempts
+
 
 # ---------------------------------------------------------------------------
 # circuit breaker
@@ -404,12 +408,42 @@ class FaultPlan:
     def released(self) -> bool:
         return self._release.is_set()
 
-    def _fires(self, rule: FaultRule, *key: Hashable) -> bool:
+    def _fires(self, rule: FaultRule, key: Hashable) -> bool:
         if rule.probability >= 1.0:
             return True
         if rule.probability <= 0.0:
             return False
-        return unit_draw(self.seed, rule.scope, rule.mode, *key) < rule.probability
+        return unit_draw(self.seed, rule.scope, rule.mode, key) < rule.probability
+
+    def batch_rules(
+        self, worker_name: str, batch_id: int, batches_done: int
+    ) -> list[FaultRule]:
+        """Worker/batch-scoped rules that fire on one attempt, in plan order.
+
+        Pure (no sleep, kill or count: :meth:`before_batch` applies
+        those), so the virtual tier reads the same decision.  A retry is
+        a new batch id, hence a new draw.
+        """
+        return [
+            rule
+            for rule in self.rules
+            if rule.scope != "job"
+            and rule.match in (None, worker_name)
+            and batches_done >= rule.after_batches
+            and self._fires(
+                rule, worker_name if rule.scope == "worker" else batch_id
+            )
+        ]
+
+    def job_rules(self, worker_name: str, job_seed: int) -> list[FaultRule]:
+        """Job-scoped rules that fire for one job (pure; keyed on its seed)."""
+        return [
+            rule
+            for rule in self.rules
+            if rule.scope == "job"
+            and rule.match in (None, worker_name)
+            and self._fires(rule, job_seed)
+        ]
 
     # -- worker hooks ------------------------------------------------------------
 
@@ -425,20 +459,7 @@ class FaultPlan:
                 raise InjectedFault(
                     f"worker {worker_name!r} was killed by the fault plan"
                 )
-        for rule in self.rules:
-            if rule.scope == "job":
-                continue
-            if rule.match is not None and rule.match != worker_name:
-                continue
-            if batches_done < rule.after_batches:
-                continue
-            key: tuple[Hashable, ...] = (
-                (worker_name,)
-                if rule.scope == "worker"
-                else (batch.batch_id,)
-            )
-            if not self._fires(rule, *key):
-                continue
+        for rule in self.batch_rules(worker_name, batch.batch_id, batches_done):
             if rule.mode == "latency":
                 self._count("latency")
                 self._release.wait(rule.latency_s)
@@ -462,14 +483,7 @@ class FaultPlan:
 
     def job_fault(self, worker_name: str, job) -> InjectedFault | None:
         """Job-scoped fault for one job, or None.  May sleep (latency)."""
-        for rule in self.rules:
-            if rule.scope != "job":
-                continue
-            if rule.match is not None and rule.match != worker_name:
-                continue
-            # keyed on the job's seed: stable across retries and runs
-            if not self._fires(rule, job.seed):
-                continue
+        for rule in self.job_rules(worker_name, job.seed):
             if rule.mode == "latency":
                 self._count("latency")
                 self._release.wait(rule.latency_s)

@@ -55,7 +55,7 @@ class EngineStats:
     total_s: dict[str, float]
     wall_seconds: float
     modeled_makespan_s: float  # busiest worker's simulated timeline
-    modeled_device_seconds: float  # summed over all workers
+    device_busy_s: float  # modeled device time, summed over all workers
     queue: FifoStats
     jobs_deadline_shed: int = 0  # handles failed with JobDeadlineExceeded
     retries: int = 0  # job re-dispatches after worker faults
@@ -110,7 +110,7 @@ class EngineStats:
             total_s=metrics.histogram("total_s").snapshot(),
             wall_seconds=wall_seconds,
             modeled_makespan_s=max(busy, default=0.0),
-            modeled_device_seconds=sum(busy),
+            device_busy_s=sum(busy),
             queue=queue,
             jobs_deadline_shed=count("jobs_deadline_shed").value,
             retries=count("job_retries").value,
@@ -145,7 +145,7 @@ class EngineStats:
             "total_s": dict(self.total_s),
             "wall_seconds": self.wall_seconds,
             "modeled_makespan_s": self.modeled_makespan_s,
-            "modeled_device_seconds": self.modeled_device_seconds,
+            "device_busy_s": self.device_busy_s,
             "wall_throughput_jps": self.wall_throughput_jps,
             "modeled_throughput_jps": self.modeled_throughput_jps,
             "queue": self.queue.to_dict(),

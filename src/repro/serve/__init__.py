@@ -36,7 +36,6 @@ from repro.serve.gateway import (
 from repro.serve.loadgen import (
     TierSpec,
     TraceEvent,
-    VirtualChaos,
     WorkloadSpec,
     default_virtual_chaos,
     generate_trace,
@@ -65,7 +64,6 @@ __all__ = [
     "TierTelemetry",
     "TokenBucket",
     "TraceEvent",
-    "VirtualChaos",
     "WorkloadSpec",
     "default_serve_chaos_plan",
     "default_virtual_chaos",

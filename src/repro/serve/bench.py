@@ -72,11 +72,14 @@ def run_serve_tier(
     One row per load multiplier; deterministic for a given seed (this
     is what ``tools/record_bench.py --suite serving`` records).  The
     default run exercises the full resilience surface: one spill hop
-    around full shards and the default
-    :class:`~repro.serve.loadgen.VirtualChaos` plan (seeded batch
-    failures with retry-on-next-worker), so the recorded baseline's
-    retry/spill counts and p99 exemplars are living regression
-    subjects, not zeros.  ``chaos_seed=None`` disables fault injection.
+    around full shards, the deadline watchdog, and
+    :func:`~repro.serve.loadgen.default_virtual_chaos` (a seeded
+    :class:`~repro.engine.resilience.FaultPlan` failing 3% of batches,
+    retried on another worker by the live default
+    :class:`~repro.engine.resilience.RetryPolicy`), so the recorded
+    baseline's retry/spill counts and p99 exemplars are living
+    regression subjects, not zeros.  ``chaos_seed=None`` disables fault
+    injection.
     """
     spec = WorkloadSpec(
         seed=seed,
@@ -157,19 +160,9 @@ def run_serve_tier(
                 "workers_per_shard": workers_per_shard,
                 "queue_depth": queue_depth,
                 "max_batch": max_batch,
-                "batch_overhead_s": tier.batch_overhead_s,
                 "spill": spill,
             },
-            "chaos": (
-                {
-                    "seed": chaos.seed,
-                    "fail_rate": chaos.fail_rate,
-                    "max_attempts": chaos.max_attempts,
-                    "backoff_s": chaos.backoff_s,
-                }
-                if chaos is not None
-                else None
-            ),
+            "chaos": chaos.to_dict() if chaos is not None else None,
         },
         notes=notes,
     )

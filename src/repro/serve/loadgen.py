@@ -9,14 +9,18 @@ Two halves, sharing one trace format:
   through JSON, so a latency regression seen in CI can be replayed
   locally from the committed spec.
 * :func:`simulate_tier` runs a trace through a **virtual-time model**
-  of the sharded tier: the *same* policy code the live tier runs (the
-  consistent-hash ring for shard assignment, the token-bucket
-  admission contract, :func:`~repro.engine.queue.take_batch` batch
-  formation and deadline shedding, the ``unit_draw`` fault draw) plus
-  an event-driven G/G/c queue per shard, all clocked by the trace's
-  arrival timestamps instead of the host.  Latency percentiles, shed
-  rates and throughput out of the simulator are pure functions of
-  ``(trace, tier spec)`` — the property that lets ``BENCH_serving.json``
+  of the sharded tier: an event loop per shard, clocked by the trace's
+  arrival timestamps instead of the host, that makes no policy decision
+  of its own.  Every decision is the live tier's code: the
+  consistent-hash ring routes, the token bucket admits,
+  :func:`~repro.engine.queue.take_batch` forms batches,
+  :meth:`~repro.engine.pool.DeviceWorker.price` prices each attempt,
+  the :class:`~repro.engine.resilience.FaultPlan` draws fail it,
+  :class:`~repro.engine.resilience.RetryPolicy` retries it, and a job
+  whose deadline passes mid-attempt is shed at the deadline, as the
+  live watchdog sheds it.  Latency percentiles, shed rates and
+  throughput out of the simulator are pure functions of ``(trace, tier
+  spec, fault plan)`` — the property that lets ``BENCH_serving.json``
   be byte-reproducible, exactly like the engine's modeled-device-timeline
   throughput is immune to host scheduling noise.
 
@@ -30,17 +34,24 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import itertools
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from repro.devices import FpgaModel
-from repro.engine.jobs import GammaJob
+from repro.engine.jobs import GammaJob, gamma_device_seconds
+from repro.engine.pool import DeviceWorker
 from repro.engine.queue import JobQueueFull, take_batch
-from repro.engine.resilience import JobDeadlineExceeded, unit_draw
-from repro.harness.configs import CONFIGURATIONS
+from repro.engine.resilience import (
+    FaultPlan,
+    FaultRule,
+    InjectedFault,
+    JobDeadlineExceeded,
+    RetryPolicy,
+)
 from repro.obs import get_request_log
 from repro.obs.percentiles import summarize
 from repro.obs.rtrace import derive_trace_id
@@ -51,7 +62,6 @@ __all__ = [
     "WorkloadSpec",
     "TraceEvent",
     "TierSpec",
-    "VirtualChaos",
     "default_virtual_chaos",
     "generate_trace",
     "trace_to_json",
@@ -128,6 +138,16 @@ class TraceEvent:
     def expired(self, now: float) -> bool:
         """Mirror of :meth:`Job.expired` on the trace's virtual clock."""
         return self.deadline_s is not None and now >= self.t + self.deadline_s
+
+    def device_seconds(self, model) -> float:
+        """Mirror of :meth:`GammaJob.device_seconds` (the same rule)."""
+        return gamma_device_seconds(
+            model, self.config, self.variance, self.n_samples
+        )
+
+    def result_bytes(self) -> int:
+        """Mirror of :meth:`GammaJob.result_bytes`."""
+        return self.n_samples * 4
 
 
 def generate_trace(spec: WorkloadSpec) -> list[TraceEvent]:
@@ -206,10 +226,6 @@ class TierSpec:
     workers_per_shard: int = 2
     queue_depth: int = 64
     max_batch: int = 8
-    #: fixed per-batch dispatch cost (host→device setup + readback floor),
-    #: the millisecond-scale transaction overhead §III-E amortizes
-    #: across coalesced jobs
-    batch_overhead_s: float = 0.002
     tenant_policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: extra ring hops a queue-full shard may spill to (0 = primary
     #: only, the pre-spillover behaviour); mirrors
@@ -217,94 +233,59 @@ class TierSpec:
     spill: int = 0
 
 
-@dataclass(frozen=True)
-class VirtualChaos:
-    """Deterministic batch-failure injection for the virtual tier.
-
-    Whether a given dispatch attempt fails is a pure hash draw keyed on
-    ``(seed, shard, batch seq, attempt)`` — no RNG state, so two runs
-    of the same trace inject byte-identical faults, and a chain's retry
-    spans replay exactly.  A failed attempt burns its full service time
-    on the worker (the live engine's wasted work), then the batch
-    re-dispatches on the next free worker after ``backoff_s``; after
-    ``max_attempts`` the jobs fail terminally.
-    """
-
-    seed: int = 0
-    fail_rate: float = 0.03
-    max_attempts: int = 3
-    backoff_s: float = 0.002
-
-    def batch_fails(self, shard: str, batch_seq: int, attempt: int) -> bool:
-        if self.fail_rate <= 0.0:
-            return False
-        draw = unit_draw(self.seed, ("chaos", shard, batch_seq, attempt))
-        return draw < self.fail_rate
+def default_virtual_chaos(seed: int = 0) -> FaultPlan:
+    """The fault plan the serving benchmark runs under: 3% of batches fail."""
+    return FaultPlan(
+        [FaultRule(scope="batch", mode="fail", probability=0.03)], seed=seed
+    )
 
 
-def default_virtual_chaos(seed: int = 0) -> VirtualChaos:
-    """The chaos plan the serving benchmark runs under."""
-    return VirtualChaos(seed=seed)
-
-
-_MODEL_CACHE: dict[str, FpgaModel] = {}
-_RATE_CACHE: dict[tuple, float] = {}
-
-
-def modeled_device_seconds(event: TraceEvent) -> float:
-    """Modeled kernel time of one event.
-
-    Same estimate :meth:`GammaJob.device_seconds` produces on an FPGA
-    worker, computed without constructing the job (the simulator only
-    needs timing, never payloads); models and rejection rates are cached
-    per configuration.
-    """
-    model = _MODEL_CACHE.get(event.config)
-    if model is None:
-        model = FpgaModel(
-            n_work_items=CONFIGURATIONS[event.config].fpga_work_items
-        )
-        _MODEL_CACHE[event.config] = model
-    rate_key = (event.config, event.variance)
-    rejection = _RATE_CACHE.get(rate_key)
-    if rejection is None:
-        rejection = job_from_event(event).rejection_rate()
-        _RATE_CACHE[rate_key] = rejection
-    return model.estimate(event.n_samples, 1, rejection).seconds
+#: the live tier's default retry policy: the virtual tier has no knob of its own
+_RETRY = RetryPolicy()
+#: what a fired ``fail`` rule raises on a live worker
+_INJECTED = InjectedFault("injected by the fault plan")
 
 
 class _Shard:
-    """Event-driven G/G/c queue with batch-key coalescing.
+    """One shard on the virtual clock: an event loop over the live policies.
 
     ``ctxs`` maps trace-event index → :class:`repro.obs.TraceContext`
-    (empty when request tracing is off): every lifecycle point —
+    (None when request tracing is off): every lifecycle point —
     enqueue, queue wait, batch formation, execute attempts, retries,
     completion, deadline shed — emits its span on the *virtual* clock,
     so a seeded run exports a byte-identical span log.
     """
 
     def __init__(
-        self,
-        spec: TierSpec,
-        name: str = "shard",
-        chaos: VirtualChaos | None = None,
-        ctxs: dict | None = None,
+        self, spec: TierSpec, index: int, batch_ids: Iterator[int],
+        plan: FaultPlan | None, ctxs: dict | None,
     ):
         self.spec = spec
-        self.name = name
-        self.chaos = chaos
-        self.ctxs = ctxs if ctxs is not None else {}
-        self.free = [(0.0, w) for w in range(spec.workers_per_shard)]
-        heapq.heapify(self.free)
+        self.name = f"shard{index}"
+        self.plan = plan
+        self.ctxs = ctxs
+        self.batch_ids = batch_ids
+        self.workers = [
+            DeviceWorker(f"s{index}w{j}") for j in range(spec.workers_per_shard)
+        ]
+        #: when each worker's device queue drains, and how many batches
+        #: it completed (what a fault rule's ``after_batches`` counts)
+        self.free_at = [0.0] * len(self.workers)
+        self.batches_done = [0] * len(self.workers)
         self.waiting: deque = deque()
+        #: heap of scheduled retries: (ready_at, batch_id, attempt, avoid, events)
+        self.retrying: list = []
         self.completed: list[tuple[TraceEvent, float, float]] = []
         self.deadline_shed: list[TraceEvent] = []
         self.failed: list[TraceEvent] = []
         self.busy_s = 0.0
         self.batches = 0
-        self.batch_jobs = 0
         self.retries = 0
-        self._batch_seq = 0
+
+    def _emit(self, event: TraceEvent, stage: str, kind: str, **attrs) -> None:
+        ctx = self.ctxs.get(event.index) if self.ctxs is not None else None
+        if ctx is not None:
+            ctx.emit(stage, kind, **attrs)
 
     def offer(self, event: TraceEvent) -> bool:
         """Admit at the event's arrival time; False = queue-full refusal.
@@ -316,137 +297,145 @@ class _Shard:
         if len(self.waiting) >= self.spec.queue_depth:
             return False
         self.waiting.append(event)
-        ctx = self.ctxs.get(event.index)
-        if ctx is not None:
-            ctx.emit(
-                "queue", "enqueue", t=event.t, shard=self.name,
+        if self.ctxs is not None:
+            self._emit(
+                event, "queue", "enqueue", t=event.t, shard=self.name,
                 occupancy=len(self.waiting),
             )
         return True
 
+    def _pick(self, avoid: frozenset = frozenset()) -> int:
+        """Earliest-free worker outside ``avoid`` (all, once all avoided)."""
+        free_at = self.free_at
+        candidates = avoid and [
+            j for j, w in enumerate(self.workers) if w.name not in avoid
+        ]
+        if not candidates:
+            return free_at.index(min(free_at))
+        return min(candidates, key=free_at.__getitem__)
+
     def drain(self, until: float = float("inf")) -> None:
-        """Dispatch every batch that starts strictly before ``until``.
+        """Run every dispatch due strictly before ``until``.
 
         Batches later than ``until`` wait: arrivals up to ``until`` may
         still coalesce into them, as late arrivals join the live queue
-        before the batcher pops it.
+        before the batcher pops it.  A retry is due when its backoff
+        ends and wins a tie, as a live worker's private inbox does.
         """
-        while self.waiting:
-            free_at, worker = self.free[0]
-            start = max(free_at, self.waiting[0].t)
+        while True:
+            j = self._pick()
+            head = self.waiting[0].t if self.waiting else float("inf")
+            start = max(self.free_at[j], head)
+            if self.retrying and self.retrying[0][0] <= start:
+                if self.retrying[0][0] >= until:
+                    return
+                ready_at, batch_id, attempt, avoid, events = heapq.heappop(
+                    self.retrying
+                )
+                j = self._pick(avoid)
+                start = max(self.free_at[j], ready_at)
+                self._attempt(j, start, events, batch_id, attempt, avoid)
+                continue
             if start >= until:
                 return
-            heapq.heappop(self.free)
             batch, expired = take_batch(
                 self.waiting, self.spec.max_batch, start
             )
             for e in expired:
                 self._shed_deadline(e, start)
             if not batch:
-                heapq.heappush(self.free, (free_at, worker))
                 continue  # everything at the head was deadline-dead
-            self._batch_seq += 1
-            seq = self._batch_seq
-            service = self.spec.batch_overhead_s + sum(
-                modeled_device_seconds(e) for e in batch
-            )
+            batch_id = next(self.batch_ids)
             self.batches += 1
-            self.batch_jobs += len(batch)
-            for e in batch:
-                ctx = self.ctxs.get(e.index)
-                if ctx is not None:
-                    ctx.emit(
-                        "queue", "wait", t=e.t, dur=start - e.t,
+            if self.ctxs is not None:
+                for e in batch:
+                    self._emit(
+                        e, "queue", "wait", t=e.t, dur=start - e.t,
                         shard=self.name,
                     )
-                    ctx.emit(
-                        "batch", "batch", t=start,
-                        batch_id=seq, size=len(batch),
+                    self._emit(
+                        e, "batch", "batch", t=start, batch_id=batch_id,
+                        size=len(batch),
                     )
-            finish, worker = self._run_attempts(
-                batch, seq, start, worker, service
-            )
-            heapq.heappush(self.free, (finish, worker))
+            self._attempt(j, start, batch, batch_id, 1, frozenset())
 
-    def _run_attempts(
-        self,
-        batch: list[TraceEvent],
-        seq: int,
-        start: float,
-        worker: int,
-        service: float,
-    ) -> tuple[float, int]:
-        """Execute the batch, retrying chaos-failed attempts.
+    def _attempt(
+        self, j: int, start: float, events: list[TraceEvent],
+        batch_id: int, attempt: int, avoid: frozenset,
+    ) -> None:
+        """One execute attempt of a batch on worker ``j`` at ``start``.
 
-        Returns ``(finish, worker)`` of the final attempt.  Each failed
-        attempt burns its service time on the worker that ran it, then
-        the batch re-dispatches after ``backoff_s`` on the next free
-        worker — a *different* one when the shard has more than one,
-        matching the live retry policy's avoid set.
+        A fired batch rule fails it before any device work (no device
+        time); otherwise the worker prices the jobs that ran.  A job
+        whose deadline passes first is shed at the deadline, as the live
+        watchdog sheds it; failed jobs retry as a new batch.
         """
-        attempt = 1
-        while True:
+        worker = self.workers[j]
+        plan = self.plan
+        if plan is not None and plan.batch_rules(
+            worker.name, batch_id, self.batches_done[j]
+        ):
+            ran = [False] * len(events)
+            finish = start
+        else:
+            ran = [
+                not e.expired(start)
+                and not (plan is not None and plan.job_rules(worker.name, e.seed))
+                for e in events
+            ]
+            kernel, readback = worker.price(events, ran)
+            service = float(sum(kernel)) + readback
             finish = start + service
             self.busy_s += service
-            failed = self.chaos is not None and self.chaos.batch_fails(
-                self.name, seq, attempt
+            self.batches_done[j] += 1
+        self.free_at[j] = finish
+        retry = []
+        traced = self.ctxs is not None
+        for e, ok in zip(events, ran):
+            if traced:
+                self._emit(
+                    e, "worker", "execute", t=start, dur=finish - start,
+                    status="ok" if ok else "error", worker=worker.name,
+                    batch_id=batch_id, attempt=attempt,
+                )
+            if e.expired(finish):
+                self._shed_deadline(e, e.t + e.deadline_s)
+            elif ok:
+                self.completed.append((e, start, finish))
+                if traced:
+                    self._emit(
+                        e, "request", "complete", t=finish, terminal=True,
+                        latency_s=finish - e.t,
+                    )
+            elif _RETRY.should_retry(_INJECTED, attempt):
+                retry.append(e)
+            else:
+                self.failed.append(e)
+                self._emit(
+                    e, "request", "failed", t=finish, status="error",
+                    terminal=True, latency_s=finish - e.t, attempts=attempt,
+                )
+        if not retry:
+            return
+        batch_id = next(self.batch_ids)
+        avoid = avoid | {worker.name}
+        delay = _RETRY.delay_s(attempt, key=retry[0].index)
+        self.retries += len(retry)
+        for e in retry:
+            self._emit(
+                e, "retry", "retry_scheduled", t=finish, attempt=attempt + 1,
+                delay_s=delay, avoid=sorted(avoid), batch_id=batch_id,
             )
-            for e in batch:
-                ctx = self.ctxs.get(e.index)
-                if ctx is not None:
-                    ctx.emit(
-                        "worker", "execute", t=start, dur=service,
-                        status="error" if failed else "ok",
-                        worker=f"{self.name}.w{worker}",
-                        batch_id=seq, attempt=attempt,
-                    )
-            if not failed:
-                for e in batch:
-                    self.completed.append((e, start, finish))
-                    ctx = self.ctxs.get(e.index)
-                    if ctx is not None:
-                        ctx.emit(
-                            "request", "complete", t=finish,
-                            terminal=True, latency_s=finish - e.t,
-                        )
-                return finish, worker
-            if attempt >= self.chaos.max_attempts:
-                for e in batch:
-                    self.failed.append(e)
-                    ctx = self.ctxs.get(e.index)
-                    if ctx is not None:
-                        ctx.emit(
-                            "request", "failed", t=finish,
-                            status="error", terminal=True,
-                            latency_s=finish - e.t, attempts=attempt,
-                        )
-                return finish, worker
-            self.retries += len(batch)
-            attempt += 1
-            for e in batch:
-                ctx = self.ctxs.get(e.index)
-                if ctx is not None:
-                    ctx.emit(
-                        "retry", "retry_scheduled", t=finish,
-                        attempt=attempt, delay_s=self.chaos.backoff_s,
-                    )
-            heapq.heappush(self.free, (finish, worker))
-            free_at, next_worker = heapq.heappop(self.free)
-            if next_worker == worker and self.free:
-                alt_at, alt_worker = heapq.heappop(self.free)
-                heapq.heappush(self.free, (free_at, next_worker))
-                free_at, next_worker = alt_at, alt_worker
-            worker = next_worker
-            start = max(free_at, finish + self.chaos.backoff_s)
+        heapq.heappush(
+            self.retrying, (finish + delay, batch_id, attempt + 1, avoid, retry)
+        )
 
     def _shed_deadline(self, event: TraceEvent, t: float) -> None:
         self.deadline_shed.append(event)
-        ctx = self.ctxs.get(event.index)
-        if ctx is not None:
-            ctx.emit(
-                "request", "deadline", t=t, status="shed",
-                terminal=True, latency_s=t - event.t, shard=self.name,
-            )
+        self._emit(
+            event, "request", "deadline", t=t, status="shed", terminal=True,
+            latency_s=t - event.t, shard=self.name,
+        )
 
 
 #: slowest-K size for the always-computed p99 exemplar rows
@@ -456,14 +445,17 @@ _EXEMPLAR_K = 8
 def simulate_tier(
     trace: list[TraceEvent],
     tier: TierSpec | None = None,
-    chaos: VirtualChaos | None = None,
+    chaos: FaultPlan | None = None,
     rlog=None,
     trace_salt: str = "",
 ) -> dict:
     """Deterministic virtual-time run of ``trace`` through a tier.
 
+    ``chaos`` is a :class:`~repro.engine.resilience.FaultPlan` of
+    ``fail`` rules, drawn for the virtual workers as for live ones.
+
     The returned report is a pure function of its inputs — same trace,
-    same spec, same chaos plan, byte-identical dict — and carries
+    same spec, same fault plan, byte-identical dict — and carries
     everything the serving benchmark records per offered-load step:
     completion/shed/failure counts by cause, end-to-end latency summary
     (mean/p50/p95/p99/max), goodput on the virtual clock, per-shard
@@ -478,40 +470,48 @@ def simulate_tier(
     when several runs (a sweep's steps) share one log.
     """
     tier = tier or TierSpec()
+    for rule in chaos.rules if chaos is not None else ():
+        if rule.mode != "fail":
+            raise ValueError(
+                f"the virtual tier honours only 'fail' rules, got {rule!r}: "
+                "kill, wedge and latency act on live breakers and threads"
+            )
     if rlog is None:
         rlog = get_request_log()
-    ring = ShardRing([f"shard{i}" for i in range(tier.n_shards)])
-    ctxs: dict = {}
+    names = [f"shard{i}" for i in range(tier.n_shards)]
+    ring = ShardRing(names)
+    ctxs: dict | None = {} if rlog is not None else None
+    batch_ids = itertools.count(1)
     shards = {
-        name: _Shard(tier, name=name, chaos=chaos, ctxs=ctxs)
-        for name in ring.shards
+        name: _Shard(tier, i, batch_ids, chaos, ctxs)
+        for i, name in enumerate(names)
     }
-    buckets: dict[int, TokenBucket] = {}
+    policy = tier.tenant_policy
+    buckets: dict[int, TokenBucket] = defaultdict(
+        lambda: TokenBucket(rate=policy.rate, burst=policy.burst)
+    )
     throttled: list[TraceEvent] = []
     queue_shed: list[TraceEvent] = []
     spilled = 0
     assignment: list[str] = []
+    routes: dict = {}  # batch key → candidates (the ring is fixed)
     for event in sorted(trace, key=lambda e: (e.t, e.index)):
-        prefs = ring.preference(event.batch_key())
-        candidates = prefs[: 1 + tier.spill]
+        key = event.batch_key()
+        candidates = routes.get(key)
+        if candidates is None:
+            candidates = routes[key] = ring.preference(key)[: 1 + tier.spill]
         assignment.append(candidates[0])
         ctx = None
         if rlog is not None:
             ctx = rlog.mint(
                 (trace_salt, event.index),
                 tenant=event.tenant,
-                batch_key=event.batch_key(),
+                batch_key=key,
                 deadline_s=event.deadline_s,
             )
             ctxs[event.index] = ctx
             ctx.emit("gateway", "admit", t=event.t, tenant=event.tenant)
-        bucket = buckets.get(event.tenant)
-        if bucket is None:
-            bucket = TokenBucket(
-                rate=tier.tenant_policy.rate, burst=tier.tenant_policy.burst
-            )
-            buckets[event.tenant] = bucket
-        if not bucket.try_acquire(now=event.t):
+        if not buckets[event.tenant].try_acquire(now=event.t):
             throttled.append(event)
             if ctx is not None:
                 ctx.emit(
@@ -524,10 +524,8 @@ def simulate_tier(
                 "shard", "route", t=event.t,
                 shard=candidates[0], candidates=list(candidates),
             )
-        admitted = False
         for i, name in enumerate(candidates):
             if shards[name].offer(event):
-                admitted = True
                 if i > 0:
                     spilled += 1
                 break
@@ -536,7 +534,7 @@ def simulate_tier(
                     "shard", "spill", t=event.t, status="shed",
                     from_shard=name, to_shard=candidates[i + 1],
                 )
-        if not admitted:
+        else:
             queue_shed.append(event)
             if ctx is not None:
                 ctx.emit(
@@ -610,7 +608,7 @@ def offered_load_sweep(
     spec: WorkloadSpec,
     multipliers: list[float],
     tier: TierSpec | None = None,
-    chaos: VirtualChaos | None = None,
+    chaos: FaultPlan | None = None,
 ) -> list[dict]:
     """One :func:`simulate_tier` step per offered-load multiplier.
 
@@ -656,14 +654,11 @@ def replay_trace(
     async def _run() -> dict:
         loop = asyncio.get_running_loop()
         start = loop.time()
-        outcomes = {
-            "completed": 0,
-            "throttled": 0,
-            "queue_shed": 0,
-            "deadline_shed": 0,
-            "failed": 0,
-            "unresolved": 0,
-        }
+        outcomes = dict.fromkeys(
+            ("completed", "throttled", "queue_shed", "deadline_shed",
+             "failed", "unresolved"),
+            0,
+        )
         latencies: list[float] = []
 
         async def _one(event: TraceEvent) -> None:

@@ -407,7 +407,7 @@ class ShardedEngine:
                 "jobs_deadline_shed",
                 "batches",
                 "retries",
-                "modeled_device_seconds",
+                "device_busy_s",
             )
         }
         totals["modeled_makespan_s"] = max(

@@ -198,7 +198,7 @@ class TestStatsAndJobs:
         assert stats.batches >= 2
         assert stats.mean_batch_occupancy > 1.0
         assert stats.modeled_makespan_s > 0
-        assert stats.modeled_device_seconds >= stats.modeled_makespan_s
+        assert stats.device_busy_s >= stats.modeled_makespan_s
         assert len(stats.workers) == 2
         assert sum(w.jobs for w in stats.workers) == 8
         rendered = stats.render()

@@ -91,6 +91,13 @@ class TestRetryPolicy:
         assert not p.retryable(RuntimeError("x"))
         assert not p.retryable(JobDeadlineExceeded("x"))
 
+    def test_should_retry_needs_a_worker_fault_and_an_attempt_left(self):
+        p = RetryPolicy(max_attempts=3)
+        assert p.should_retry(InjectedFault("x"), attempts=1)
+        assert p.should_retry(InjectedFault("x"), attempts=2)
+        assert not p.should_retry(InjectedFault("x"), attempts=3)
+        assert not p.should_retry(RuntimeError("x"), attempts=1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
@@ -253,6 +260,25 @@ class TestFaultPlan:
         with pytest.raises(InjectedFault):  # dead forever
             plan.before_batch("w0", FakeBatch(), batches_done=0)
         plan.before_batch("w1", FakeBatch(), batches_done=9)  # others fine
+        assert plan.injected["kill"] == 1
+
+    def test_rule_decisions_are_pure(self):
+        kill = FaultRule(scope="worker", mode="kill", match="w0")
+        fail = FaultRule(scope="job", mode="fail")
+        plan = FaultPlan([kill, fail])
+        for _ in range(2):  # deciding twice changes nothing
+            assert plan.batch_rules("w0", batch_id=1, batches_done=0) == [kill]
+            assert plan.batch_rules("w1", batch_id=1, batches_done=0) == []
+            assert plan.job_rules("w0", job_seed=5) == [fail]
+        assert plan.injected == {mode: 0 for mode in plan.injected}
+
+        class FakeBatch:
+            batch_id = 1
+            attempt = 1
+
+        plan.before_batch("w1", FakeBatch(), batches_done=0)  # w0 not dead
+        with pytest.raises(InjectedFault):
+            plan.before_batch("w0", FakeBatch(), batches_done=0)
         assert plan.injected["kill"] == 1
 
     def test_release_unblocks_a_wedge(self):

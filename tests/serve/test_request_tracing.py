@@ -25,7 +25,6 @@ from repro.serve.gateway import AdmissionGateway, TenantPolicy
 from repro.serve.loadgen import (
     TierSpec,
     WorkloadSpec,
-    VirtualChaos,
     generate_trace,
     simulate_tier,
 )
@@ -287,12 +286,16 @@ class TestReroutes:
 
 
 class TestVirtualSimulator:
-    SPEC = WorkloadSpec(seed=77, n_jobs=300, rate_jps=2400.0)
+    # past the two workers' ~4k jobs/s capacity for priced batches, so
+    # queues fill and spill as well as retry
+    SPEC = WorkloadSpec(seed=77, n_jobs=300, rate_jps=4800.0)
     TIER = TierSpec(
         n_shards=2, workers_per_shard=1, queue_depth=8, max_batch=4,
         spill=1,
     )
-    CHAOS = VirtualChaos(seed=7, fail_rate=0.15, max_attempts=3)
+    CHAOS = FaultPlan(
+        [FaultRule(scope="batch", mode="fail", probability=0.15)], seed=7
+    )
 
     def _run(self, rlog):
         trace = generate_trace(self.SPEC)

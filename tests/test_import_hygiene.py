@@ -2,7 +2,9 @@
 
 A clean ``pip install -e .`` brings numpy and scipy only; scipy.stats
 alone costs about a second to import, so nothing on the import path
-loads it at module level.  Each check runs in a fresh interpreter.
+loads it at module level.  The CLI entry point resolves only the
+experiments it runs, so importing it loads neither the engine nor the
+serving tier.  Each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -41,12 +43,34 @@ _PROBE = textwrap.dedent(
 )
 
 
-def test_imports_without_networkx_or_scipy_stats():
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+_CLI_PROBE = textwrap.dedent(
+    """
+    import sys
+    import repro.__main__
+
+    loaded = sorted(
+        m for m in ("repro.engine", "repro.serve") if m in sys.modules
+    )
+    assert not loaded, f"loaded by importing the CLI: {loaded}"
+    """
+)
+
+
+def _run(probe: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_imports_without_networkx_or_scipy_stats():
+    proc = _run(_PROBE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_lazy_experiments_unresolved():
+    proc = _run(_CLI_PROBE)
     assert proc.returncode == 0, proc.stderr
